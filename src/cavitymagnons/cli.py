@@ -8,7 +8,8 @@ echo of the parsed config plus detected features (peaks, gap minima,
 exceptional-point locations).
 
 Exit codes: 0 success; 1 config error (diagnostic names the first invalid
-field); 2 numerical failure (diagnostic names the sweep point).
+field); 2 numerical failure (diagnostic names the sweep point, or the column
+or feature holding a NaN or infinity; nothing is written).
 """
 
 from __future__ import annotations
@@ -226,6 +227,10 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("dynamics.t_end", "must be positive")
         if dt <= 0:
             raise ConfigError("dynamics.dt", "must be positive")
+        try:
+            dynamics.step_count(t_end, dt)
+        except ValueError as exc:
+            raise ConfigError("dynamics.t_end", f"{exc} (t_end = {t_end:.6g}, dynamics.dt = {dt:.6g})") from None
     elif parser.has_section("dynamics"):
         raise ConfigError("dynamics", f"not used by mode {mode}")
 
@@ -503,13 +508,35 @@ def _output_paths(path: str) -> tuple[str, str]:
     return base + ".csv", base + ".json"
 
 
+def _nonfinite_feature(value, name: str) -> str | None:
+    """Dotted name of the first NaN or infinity inside a features value, or None."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return name if isinstance(value, float) and not math.isfinite(value) else None
+    for key, item in items:
+        found = _nonfinite_feature(item, f"{name}.{key}")
+        if found is not None:
+            return found
+    return None
+
+
 def run(config: RunConfig) -> list[str]:
     """Execute one run; returns the list of files written.
 
-    Numerical failures (singular steady-state solve, absent coalescence)
-    propagate to the caller; `main` maps them to exit code 2.
+    Numerical failures (singular steady-state solve, absent coalescence, NaN
+    or infinite output) propagate to the caller before anything is written;
+    `main` maps them to exit code 2.
     """
     headers, columns, features = _RUNNERS[config.mode](config)
+    for header, column in zip(headers, columns):
+        if not np.all(np.isfinite(column)):
+            raise ValueError(f"non-finite values in column {header}; nothing written")
+    bad_feature = _nonfinite_feature(features, "features")
+    if bad_feature is not None:
+        raise ValueError(f"non-finite value in {bad_feature}; nothing written")
     csv_path, json_path = _output_paths(config.output_path)
     written = []
     if config.output_format in ("csv", "both"):
@@ -524,7 +551,7 @@ def run(config: RunConfig) -> list[str]:
             "features": features,
         }
         with open(json_path, "w", encoding="utf-8", newline="") as handle:
-            json.dump(sidecar, handle, indent=2, sort_keys=True)
+            json.dump(sidecar, handle, indent=2, sort_keys=True, allow_nan=False)
             handle.write("\n")
         written.append(json_path)
     return written
@@ -586,7 +613,7 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        # e.g. an integrator step rejected by the stability bound
+        # e.g. an integrator step rejected by the stability bound, or non-finite output
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,28 @@
-"""Shared helpers for comparing small sets of complex eigenvalues."""
+"""Shared helpers: eigenvalue-multiset comparison and SystemParams strategies."""
 
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
+
+from cavitymagnons.model import SystemParams
+
+rates = st.floats(min_value=0.0, max_value=3.0, allow_nan=False, allow_subnormal=False)
+couplings = st.floats(min_value=0.0, max_value=3.0, allow_nan=False, allow_subnormal=False)
+kappas = st.floats(min_value=0.05, max_value=5.0, allow_nan=False, allow_subnormal=False)
+splittings = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_subnormal=False)
+
+
+def system_params_strategy():
+    return st.builds(
+        SystemParams,
+        kappa=kappas,
+        gamma1=rates,
+        gamma2=rates,
+        g1=couplings,
+        g2=couplings,
+        s=splittings,
+    )
 
 
 def best_match_errors(values, references) -> np.ndarray:

@@ -17,6 +17,7 @@ from cavitymagnons.cli import (
     render_csv,
     run,
 )
+from cavitymagnons.dynamics import MAX_STEPS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -147,6 +148,24 @@ class TestParseConfig:
         )
         config = parse_config(text)
         assert config.drive.amplitude == pytest.approx(1.2284910276e10, rel=1e-9)
+
+    @pytest.mark.parametrize("snippet", [
+        # Defaults: t_end = 50/min(gamma_i + g_i^2/kappa) = 5e7 at dt = 0.1, so 5e8 steps.
+        "[system]\ngamma1 = 1e-6\ngamma2 = 1e-6\ng1 = 0\ng2 = 0\n",
+        "[dynamics]\nt_end = 1e6\ndt = 0.05\n",
+        "[dynamics]\nt_end = 1\ndt = 1e-300\n",
+    ])
+    def test_step_budget_is_a_config_error(self, snippet):
+        # Parsed only: such a run must never be attempted.
+        with pytest.raises(ConfigError) as err:
+            parse_config("[run]\nmode = dynamics\n[drive]\namplitude = 1\n" + snippet)
+        assert err.value.field == "dynamics.t_end"
+        assert "dynamics.dt" in str(err.value)
+
+    def test_step_budget_admits_its_limit(self):
+        config = parse_config("[run]\nmode = dynamics\n[drive]\namplitude = 1\n"
+                              f"[dynamics]\nt_end = {MAX_STEPS // 10}\ndt = 0.1\n")
+        assert round(config.t_end / config.dt) == MAX_STEPS
 
     def test_parse_error_reports_line(self):
         with pytest.raises(ConfigError) as err:
@@ -328,6 +347,22 @@ class TestMainExitCodes:
         )
         assert main(["--config", str(config_path)]) == 2
         assert "stability" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,column", [
+        # The steady state and the trajectory overflow.
+        ("[run]\nmode = dynamics\n[drive]\namplitude = 1e308\n", "re_a"),
+        # Amplitudes stay finite; their squared sum does not.
+        ("[run]\nmode = response-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n"
+         "[drive]\namplitude = 1e160\n", "spincurrent"),
+    ])
+    def test_non_finite_output_is_numerical_error(self, tmp_path, capsys, body, column):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(body + f"[output]\npath = {tmp_path / 'out.csv'}\nformat = both\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["--config", str(config_path)]) == 2
+        assert f"column {column}" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "out.json").exists()
 
     def test_ep_not_found_is_numerical_error(self, tmp_path, capsys):
         config_path = tmp_path / "run.cfg"

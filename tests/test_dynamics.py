@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavitymagnons.dynamics import (
+    BLOCK_STEPS,
     adiabatic_validity_report,
     integrate_adiabatic,
     integrate_full,
@@ -22,10 +25,43 @@ from cavitymagnons.model import (
 )
 from cavitymagnons.response import steady_state
 
+from conftest import system_params_strategy
+
 SQRT2 = math.sqrt(2.0)
 
 WEAK = SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0.2, g2=0.2, s=0.04)
 STRONG = SystemParams(kappa=1, gamma1=1, gamma2=1, g1=2, g2=2, s=0.5)
+FREE = DriveParams(delta=0.0, amplitude=0.0)
+
+
+def rk4_reference(a, force, state0, t_end, n_steps):
+    """Classical RK4 on dy/dt = A y + F, one step per loop iteration (the oracle)."""
+    h = t_end / n_steps
+    y = np.asarray(state0, dtype=complex).copy()
+    states = [y]
+    for _ in range(n_steps):
+        k1 = a @ y + force
+        k2 = a @ (y + 0.5 * h * k1) + force
+        k3 = a @ (y + 0.5 * h * k2) + force
+        k4 = a @ (y + h * k3) + force
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    return np.array(states)
+
+
+def accurate_dt(matrix) -> float:
+    """Step with h |lambda| <= 0.1 for every eigenvalue: accurate and stable."""
+    return 0.1 / max(1.0, np.linalg.norm(matrix, 2))
+
+
+# Step counts that end mid-block, so partial blocks are covered.
+step_counts = st.sampled_from([1, BLOCK_STEPS - 1, BLOCK_STEPS + 1, 3 * BLOCK_STEPS + 5])
+unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
+
+
+def assert_matches_reference(states, reference):
+    assert states.shape == reference.shape
+    assert np.abs(states - reference).max() <= 1e-11 * np.abs(reference).max()
 
 
 class TestMatrixExponential:
@@ -33,16 +69,40 @@ class TestMatrixExponential:
         a = np.diag([1.0 + 0j, -2.0, 0.5j])
         assert_allclose(matrix_exponential(a), np.diag(np.exp(np.diag(a))), rtol=1e-13)
 
-    def test_defective_generator_falls_back(self):
+    def test_defective_generator(self):
         # Jordan block: exp([[0,1],[0,0]]) = [[1,1],[0,1]]
         a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         assert_allclose(matrix_exponential(a), [[1, 1], [0, 1]], atol=1e-12)
 
-    def test_against_scipy_generic(self):
-        import scipy.linalg
+    def test_against_eigendecomposition_generic(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert_allclose(matrix_exponential(a), scipy.linalg.expm(a), rtol=1e-10)
+        w, v = np.linalg.eig(a)
+        assert_allclose(matrix_exponential(a), (v * np.exp(w)) @ np.linalg.inv(v), rtol=1e-10)
+
+
+class TestBlockStepperMatchesReference:
+    @given(system_params_strategy(), st.floats(min_value=-6.0, max_value=6.0), st.floats(min_value=0.0, max_value=2.0),
+           st.lists(unit_floats, min_size=6, max_size=6), step_counts)
+    @settings(max_examples=100, deadline=None)
+    def test_integrate_full(self, p, delta, amplitude, parts, n_steps):
+        drive = DriveParams(delta=delta, amplitude=amplitude)
+        system = build_driven_system(p, drive)
+        x0 = np.array(parts[:3]) + 1j * np.array(parts[3:])
+        dt = accurate_dt(system.matrix)
+        t_end = n_steps * dt
+        traj = integrate_full(p, drive, x0, t_end, dt)
+        assert_matches_reference(traj.states, rk4_reference(-1j * system.matrix, system.force, x0, t_end, n_steps))
+
+    @given(system_params_strategy(), st.lists(unit_floats, min_size=4, max_size=4), step_counts)
+    @settings(max_examples=100, deadline=None)
+    def test_integrate_adiabatic(self, p, parts, n_steps):
+        model = build_adiabatic_model(p)
+        y0 = np.array(parts[:2]) + 1j * np.array(parts[2:])
+        dt = accurate_dt(model.matrix)
+        t_end = n_steps * dt
+        traj = integrate_adiabatic(model, y0, t_end, dt)
+        assert_matches_reference(traj.states, rk4_reference(-1j * model.matrix, np.zeros(2), y0, t_end, n_steps))
 
 
 class TestIntegrateFull:
@@ -99,6 +159,29 @@ class TestIntegrateFull:
         # stiffest decay ~ kappa; RK4 blows up past dt ~ 2.8/kappa
         with pytest.raises(ValueError):
             integrate_full(STRONG, DriveParams(), np.zeros(3), t_end=10.0, dt=3.0)
+
+    def test_rejects_lossless_oscillation_outside_stability_region(self):
+        # No decay rate limits dt here, but |R(h lambda)| > 1 for h|lambda| ~ 5:
+        # the step-by-step loop grew this state to ~1e133 by t = 50.
+        lossless = SystemParams(kappa=1, gamma1=0, gamma2=0, g1=0.2, g2=0.2, s=10)
+        with pytest.raises(ValueError, match="stability"):
+            integrate_full(lossless, DriveParams(), [0.0, 1.0, 1j], t_end=50.0, dt=0.5)
+
+    def test_stability_rule_is_exact_on_the_imaginary_axis(self):
+        # Undamped magnons at frequencies +-1: |R(iy)| <= 1 exactly for y <= 2 sqrt(2).
+        p = SystemParams(kappa=0.1, gamma1=0, gamma2=0, g1=0, g2=0, s=1)
+        traj = integrate_full(p, FREE, [0.0, 1.0, 1j], t_end=28.0, dt=2.8)
+        assert np.abs(traj.states).max() <= 1.0
+        with pytest.raises(ValueError, match="stability"):
+            integrate_full(p, FREE, [0.0, 1.0, 1j], t_end=28.5, dt=2.85)
+
+    def test_undamped_dark_mode_is_accepted_and_kept(self):
+        # Lossless symmetric magnons at s = 0: the dark mode has eigenvalue exactly 0,
+        # so the step map's spectral radius is 1; here it is computed as 1 + 6.7e-16.
+        p = SystemParams(kappa=1, gamma1=0, gamma2=0, g1=0.8, g2=0.8, s=0)
+        dark = np.array([0.0, 1.0, -1.0]) / SQRT2
+        traj = integrate_full(p, FREE, dark, t_end=800.0, dt=0.08)
+        assert_allclose(traj.states[-1], dark, atol=1e-12)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):

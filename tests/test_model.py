@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavitymagnons.model import (
@@ -23,26 +22,9 @@ from cavitymagnons.model import (
 )
 from cavitymagnons.spectra import adiabatic_eigenvalues
 
-from conftest import best_match_errors
+from conftest import best_match_errors, couplings, kappas, rates, splittings, system_params_strategy
 
 SQRT2 = math.sqrt(2.0)
-
-rates = st.floats(min_value=0.0, max_value=3.0, allow_nan=False, allow_subnormal=False)
-couplings = st.floats(min_value=0.0, max_value=3.0, allow_nan=False, allow_subnormal=False)
-kappas = st.floats(min_value=0.05, max_value=5.0, allow_nan=False, allow_subnormal=False)
-splittings = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_subnormal=False)
-
-
-def system_params_strategy():
-    return st.builds(
-        SystemParams,
-        kappa=kappas,
-        gamma1=rates,
-        gamma2=rates,
-        g1=couplings,
-        g2=couplings,
-        s=splittings,
-    )
 
 
 class TestSystemParams:

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavitymagnons.model import SystemParams, build_adiabatic_model, build_full_hamiltonian
@@ -20,18 +19,11 @@ from cavitymagnons.spectra import (
     weak_coupling_approx,
 )
 
-from conftest import best_match_errors
+from conftest import best_match_errors, couplings, kappas, splittings, system_params_strategy
 
 SQRT2 = math.sqrt(2.0)
 
-rates = st.floats(min_value=0.0, max_value=3.0, allow_nan=False, allow_subnormal=False)
-couplings = st.floats(min_value=0.0, max_value=3.0, allow_nan=False, allow_subnormal=False)
-kappas = st.floats(min_value=0.05, max_value=5.0, allow_nan=False, allow_subnormal=False)
-splittings = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_subnormal=False)
-
-params_strategy = st.builds(
-    SystemParams, kappa=kappas, gamma1=rates, gamma2=rates, g1=couplings, g2=couplings, s=splittings
-)
+params_strategy = system_params_strategy()
 
 
 def char_poly_residual(h, lam):
