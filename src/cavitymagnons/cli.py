@@ -25,7 +25,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics, response, spectra
-from .model import DriveParams, SystemParams, build_adiabatic_model, drive_amplitude_from_power
+from .model import (
+    DriveParams,
+    SystemParams,
+    build_adiabatic_model,
+    drive_amplitude_from_power,
+    drive_frame_matrices,
+)
 
 MODES = ("eig-sweep", "response-sweep", "reflection-sweep", "ep-find", "adiabatic-compare", "dynamics")
 SWEEP_MODES = {
@@ -364,9 +370,7 @@ def _run_ep_find(config: RunConfig) -> tuple[list[str], list, dict]:
 def _run_response_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
     deltas = np.linspace(config.sweep_min, config.sweep_max, config.sweep_points)
     sweep = response.spincurrent_spectrum(config.system, deltas, config.drive.amplitude)
-    a = np.array([p.a for p in sweep.points])
-    m1 = np.array([p.m1 for p in sweep.points])
-    m2 = np.array([p.m2 for p in sweep.points])
+    a, m1, m2 = sweep.states.T
     dark = sweep.dark_amplitude
     headers = [
         "delta", "re_a", "im_a", "re_m1", "im_m1", "re_m2", "im_m2",
@@ -383,12 +387,9 @@ def _run_response_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
 
 def _run_reflection_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
     deltas = np.linspace(config.sweep_min, config.sweep_max, config.sweep_points)
-    coeffs = [
-        response.reflection_transmission(config.system, DriveParams(delta=float(d)))
-        for d in deltas
-    ]
-    r = np.array([c[0] for c in coeffs])
-    t = np.array([c[1] for c in coeffs])
+    # r and t do not depend on the drive amplitude.
+    sweep = response.spincurrent_spectrum(config.system, deltas)
+    r, t = sweep.r, sweep.t
     abs2_r = np.abs(r) ** 2
     abs2_t = np.abs(t) ** 2
     i_dip = int(np.argmin(abs2_r))
@@ -530,7 +531,10 @@ def run(config: RunConfig) -> list[str]:
     or infinite output) propagate to the caller before anything is written;
     `main` maps them to exit code 2.
     """
-    headers, columns, features = _RUNNERS[config.mode](config)
+    # Overflow shows up as NaN or infinity in the output, which the checks
+    # below report; numpy's own warnings would only bury that diagnostic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        headers, columns, features = _RUNNERS[config.mode](config)
     for header, column in zip(headers, columns):
         if not np.all(np.isfinite(column)):
             raise ValueError(f"non-finite values in column {header}; nothing written")
@@ -558,14 +562,17 @@ def run(config: RunConfig) -> list[str]:
 
 
 def _first_singular_point(config: RunConfig) -> str:
-    """Best-effort description of the sweep point that made the solve singular."""
+    """Best-effort description of the sweep point that made the solve singular.
+
+    The stacked solve raises on an exact zero pivot of the LU factorization,
+    which is where the determinant's sign (from the same factorization) is 0.
+    """
     if config.mode in ("response-sweep", "reflection-sweep") and config.sweep_points:
         deltas = np.linspace(config.sweep_min, config.sweep_max, config.sweep_points)
-        for d in deltas:
-            try:
-                response.reflection_transmission(config.system, DriveParams(delta=float(d)))
-            except np.linalg.LinAlgError:
-                return f"delta={_fmt(d)}"
+        sign, _ = np.linalg.slogdet(drive_frame_matrices(config.system, deltas))
+        singular = np.flatnonzero(sign == 0)
+        if singular.size:
+            return f"delta={_fmt(deltas[singular[0]])}"
     return "unknown sweep point"
 
 

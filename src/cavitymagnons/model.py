@@ -23,6 +23,10 @@ import numpy as np
 HBAR = 1.0545718e-34
 
 _SQRT2 = math.sqrt(2.0)
+_EYE3 = np.eye(3)
+# d/ds of the full and of the reduced matrix: the magnons sit at +s and -s.
+_FULL_SPLITTING = np.diag([0.0, 1.0, -1.0])
+_ADIABATIC_SPLITTING = np.diag([1.0, -1.0])
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -104,8 +108,9 @@ class EffectiveHamiltonian:
 class AdiabaticModel:
     """Reduced 2x2 magnon-only model after eliminating a fast cavity.
 
-    matrix       : 2x2 complex matrix in mode order (m1, m2); the off-diagonal
-                   entries are -i*g1*g2/kappa, a purely dissipative coupling
+    matrix       : 2x2 complex matrix in mode order (m1, m2), or a (..., 2, 2)
+                   stack over a sweep of s; the off-diagonal entries are
+                   -i*g1*g2/kappa, a purely dissipative coupling
     induced_rate : g1*g2/kappa
     gamma_tilde1 : dressed decay rate gamma1 + g1**2/kappa
     gamma_tilde2 : dressed decay rate gamma2 + g2**2/kappa
@@ -148,27 +153,40 @@ def polariton_basis() -> PolaritonBasis:
     return PolaritonBasis(transform=u)
 
 
-def build_full_hamiltonian(params: SystemParams) -> np.ndarray:
+def build_full_hamiltonian(params: SystemParams, s=None) -> np.ndarray:
     """Build the 3x3 non-Hermitian coupled-mode matrix in mode order (a, m1, m2).
 
     The diagonal carries -i*kappa, s - i*gamma1, -s - i*gamma2; the couplings
     g1, g2 sit symmetrically between the cavity and each magnon, and there is
     no direct magnon-magnon element.
+
+    With s given (any array shape), params.s is ignored and the result is the
+    stack H(s=0) + s[..., None, None] * diag(0, 1, -1) of shape (*s.shape, 3, 3),
+    entry for entry equal to building each point on its own.
     """
     p = params
-    return np.array(
+    at = p.s if s is None else 0.0
+    h = np.array(
         [
             [-1j * p.kappa, p.g1, p.g2],
-            [p.g1, p.s - 1j * p.gamma1, 0.0],
-            [p.g2, 0.0, -p.s - 1j * p.gamma2],
+            [p.g1, at - 1j * p.gamma1, 0.0],
+            [p.g2, 0.0, -at - 1j * p.gamma2],
         ],
         dtype=complex,
     )
+    if s is not None:
+        h = h + np.asarray(s, dtype=float)[..., None, None] * _FULL_SPLITTING
+    return h
+
+
+def drive_frame_matrices(params: SystemParams, deltas) -> np.ndarray:
+    """Drive-frame matrix H - delta*I: 3x3 for a scalar delta, (*deltas.shape, 3, 3) for an array."""
+    return build_full_hamiltonian(params) - np.multiply.outer(deltas, _EYE3)
 
 
 def build_driven_system(params: SystemParams, drive: DriveParams) -> EffectiveHamiltonian:
     """Shift into the drive frame: matrix = H - delta*I, force = sqrt(kappa)*(E, 0, 0)."""
-    matrix = build_full_hamiltonian(params) - drive.delta * np.eye(3)
+    matrix = drive_frame_matrices(params, drive.delta)
     force = np.array([math.sqrt(params.kappa) * drive.amplitude, 0.0, 0.0], dtype=complex)
     return EffectiveHamiltonian(matrix=matrix, force=force)
 
@@ -187,7 +205,7 @@ def drive_amplitude_from_power(power: float, drive_frequency: float) -> float:
     return math.sqrt(power / (HBAR * drive_frequency))
 
 
-def build_adiabatic_model(params: SystemParams) -> AdiabaticModel:
+def build_adiabatic_model(params: SystemParams, s=None) -> AdiabaticModel:
     """Eliminate the cavity by slaving it to the magnons (a = -i(g1 m1 + g2 m2)/kappa).
 
     Valid when the cavity relaxes much faster than everything else
@@ -198,19 +216,24 @@ def build_adiabatic_model(params: SystemParams) -> AdiabaticModel:
 
     with gamma_tilde_i = gamma_i + g_i**2/kappa: each magnon picks up a
     cavity-induced decay, and the two magnons acquire a purely imaginary
-    (dissipative) mutual coupling.
+    (dissipative) mutual coupling.  With s given (any array shape) the matrix
+    is the (*s.shape, 2, 2) stack over those splittings, as in
+    build_full_hamiltonian.
     """
     p = params
     gt1 = p.gamma1 + p.g1 ** 2 / p.kappa
     gt2 = p.gamma2 + p.g2 ** 2 / p.kappa
     rate = p.g1 * p.g2 / p.kappa
+    at = p.s if s is None else 0.0
     matrix = np.array(
         [
-            [p.s - 1j * gt1, -1j * rate],
-            [-1j * rate, -p.s - 1j * gt2],
+            [at - 1j * gt1, -1j * rate],
+            [-1j * rate, -at - 1j * gt2],
         ],
         dtype=complex,
     )
+    if s is not None:
+        matrix = matrix + np.asarray(s, dtype=float)[..., None, None] * _ADIABATIC_SPLITTING
     return AdiabaticModel(matrix=matrix, induced_rate=rate, gamma_tilde1=gt1, gamma_tilde2=gt2)
 
 

@@ -14,13 +14,16 @@ input-output coefficients t = sqrt(kappa) a / E and r = t - 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DriveParams, SystemParams, build_full_hamiltonian
+from .model import DriveParams, SystemParams, drive_frame_matrices
 
 _SQRT2 = math.sqrt(2.0)
+# Unit drive at the cavity port, as a (3, 1) right-hand side for the solve.
+_CAVITY_PORT = np.array([[1.0], [0.0], [0.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -43,36 +46,114 @@ class ResponsePoint:
     t: complex
 
 
+def _total_spincurrent(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """|m1|^2 + |m2|^2 over arrays, rounded as _response_point rounds one point.
+
+    abs(m) ** 2 of a numpy scalar is hypot, then pow; np.abs and ** on arrays
+    round differently (SIMD modulus, squaring), hypot and float_power do not.
+    """
+    return np.float_power(np.hypot(m1.real, m1.imag), 2) + np.float_power(np.hypot(m2.real, m2.imag), 2)
+
+
+def _dark_amplitude(m1, m2):
+    return (m1 - m2) / _SQRT2
+
+
+def _response_point(delta: float, a, m1, m2, t) -> ResponsePoint:
+    return ResponsePoint(
+        delta=delta,
+        a=a,
+        m1=m1,
+        m2=m2,
+        total_spincurrent=abs(m1) ** 2 + abs(m2) ** 2,
+        dark_amplitude=_dark_amplitude(m1, m2),
+        r=t - 1.0,
+        t=t,
+    )
+
+
+class ResponsePoints(Sequence):
+    """Read-only view of sweep columns as ResponsePoint objects.
+
+    Each point is built when it is accessed; its fields equal the sweep's
+    column values bit for bit.  Indexing takes negative indices and slices (a
+    slice gives a tuple of points) and raises IndexError out of range.
+    """
+
+    def __init__(self, deltas: np.ndarray, states: np.ndarray, t: np.ndarray):
+        self._deltas = deltas
+        self._states = states
+        self._t = t
+
+    def __len__(self) -> int:
+        return len(self._deltas)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        a, m1, m2 = self._states[index]
+        return _response_point(float(self._deltas[index]), a, m1, m2, self._t[index])
+
+
 @dataclass(frozen=True)
 class SpectrumSweep:
-    """Response points over a drive-detuning grid plus detected peaks.
+    """Steady-state response columns over a drive-detuning grid plus detected peaks.
 
-    Peaks are strict three-point local maxima of the total spincurrent on the
-    grid: (delta, height) pairs in increasing delta order.
+    deltas : (n,) drive detunings
+    states : (n, 3) steady-state amplitudes, columns (a, m1, m2)
+    t      : (n,) transmission coefficients; r = t - 1 is the reflection
+    peaks  : strict three-point local maxima of the total spincurrent on the
+             grid, (delta, height) pairs in increasing delta order
+
+    total_spincurrent, dark_amplitude and r are computed from these columns
+    on access; points is a lazy read-only sequence of ResponsePoint objects.
     """
 
     deltas: np.ndarray
-    points: tuple[ResponsePoint, ...]
+    states: np.ndarray
+    t: np.ndarray
     peaks: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        self.deltas.setflags(write=False)
+        for column in (self.deltas, self.states, self.t):
+            column.setflags(write=False)
 
     @property
     def total_spincurrent(self) -> np.ndarray:
-        return np.array([p.total_spincurrent for p in self.points])
+        return _total_spincurrent(self.states[:, 1], self.states[:, 2])
 
     @property
     def dark_amplitude(self) -> np.ndarray:
-        return np.array([p.dark_amplitude for p in self.points])
+        return _dark_amplitude(self.states[:, 1], self.states[:, 2])
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.t - 1.0
+
+    @property
+    def points(self) -> ResponsePoints:
+        return ResponsePoints(self.deltas, self.states, self.t)
 
 
-def _resolvent_column(params: SystemParams, delta: float) -> np.ndarray:
-    """First column of (H - delta)^(-1): the response of each mode to the cavity port."""
-    matrix = build_full_hamiltonian(params) - delta * np.eye(3)
-    rhs = np.zeros(3, dtype=complex)
-    rhs[0] = 1.0
-    return np.linalg.solve(matrix, rhs)
+def _resolvent_columns(params: SystemParams, deltas) -> np.ndarray:
+    """First column of (H - delta)^(-1) at each delta, from one stacked solve.
+
+    Shape (*deltas.shape, 3): the response of each mode to the cavity port.
+    Raises numpy.linalg.LinAlgError when any matrix of the stack is singular.
+    """
+    return np.linalg.solve(drive_frame_matrices(params, deltas), _CAVITY_PORT)[..., 0]
+
+
+def _transmission(params: SystemParams, column: np.ndarray) -> np.ndarray:
+    """t = sqrt(kappa) a / E from resolvent columns; amplitude independent."""
+    # .T[0] rather than [..., 0]: a single column then gives a numpy scalar.
+    return -1j * params.kappa * column.T[0]
+
+
+def _steady_columns(params: SystemParams, deltas, amplitude: float) -> tuple[np.ndarray, np.ndarray]:
+    """Steady states X = -i (H - delta)^(-1) F, shape (..., 3), and transmissions t, shape (...)."""
+    column = _resolvent_columns(params, deltas)
+    return (-1j * math.sqrt(params.kappa) * amplitude) * column, _transmission(params, column)
 
 
 def steady_state(params: SystemParams, drive: DriveParams) -> ResponsePoint:
@@ -81,22 +162,11 @@ def steady_state(params: SystemParams, drive: DriveParams) -> ResponsePoint:
     X = -i (H - delta)^(-1) F with F = sqrt(kappa) (E, 0, 0).  The system is
     nonsingular whenever any damping rate is positive.  Raises
     numpy.linalg.LinAlgError for a singular system (all dampings zero with the
-    drive on a real eigenvalue).
+    drive on a real eigenvalue).  This is the one-point case of the solve
+    behind spincurrent_spectrum and gives the same values bit for bit.
     """
-    column = _resolvent_column(params, drive.delta)
-    scale = -1j * math.sqrt(params.kappa) * drive.amplitude
-    a, m1, m2 = scale * column
-    t = -1j * params.kappa * column[0]
-    return ResponsePoint(
-        delta=drive.delta,
-        a=a,
-        m1=m1,
-        m2=m2,
-        total_spincurrent=abs(m1) ** 2 + abs(m2) ** 2,
-        dark_amplitude=(m1 - m2) / _SQRT2,
-        r=t - 1.0,
-        t=t,
-    )
+    (a, m1, m2), t = _steady_columns(params, drive.delta, drive.amplitude)
+    return _response_point(drive.delta, a, m1, m2, t)
 
 
 def analytic_magnon_response(params: SystemParams, drive: DriveParams) -> tuple[complex, complex]:
@@ -129,13 +199,10 @@ def analytic_magnon_response(params: SystemParams, drive: DriveParams) -> tuple[
     return m1, m2
 
 
-def _local_maxima(values: np.ndarray) -> list[int]:
+def _local_maxima(values: np.ndarray) -> np.ndarray:
     """Indices of strict three-point local maxima."""
-    return [
-        i
-        for i in range(1, len(values) - 1)
-        if values[i] > values[i - 1] and values[i] > values[i + 1]
-    ]
+    inner = values[1:-1]
+    return np.flatnonzero((inner > values[:-2]) & (inner > values[2:])) + 1
 
 
 def _parabolic_refine(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
@@ -163,22 +230,25 @@ def spincurrent_spectrum(
     by the dark mode; in the bad-cavity regime the magnon peaks coalesce into
     a single narrow line around s = 0.  Peak detection is a strict local
     maximum on the grid; refine_peaks=True adds parabolic sub-grid refinement
-    of each detected peak.
+    of each detected peak.  All steady states come from one stacked solve;
+    the returned sweep also carries r and t over the grid.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.size == 0:
-        raise ValueError("drive-detuning grid must be nonempty")
-    points = tuple(
-        steady_state(params, DriveParams(delta=float(d), amplitude=amplitude)) for d in deltas
-    )
-    heights = np.array([p.total_spincurrent for p in points])
+    deltas = np.array(deltas, dtype=float)
+    if deltas.ndim != 1 or deltas.size == 0:
+        raise ValueError("drive-detuning grid must be a nonempty 1-D sequence")
+    if not np.all(np.isfinite(deltas)):
+        raise ValueError("drive detunings must be finite")
+    if not (math.isfinite(amplitude) and amplitude >= 0):
+        raise ValueError(f"amplitude must be finite and non-negative, got {amplitude!r}")
+    states, t = _steady_columns(params, deltas, amplitude)
+    heights = _total_spincurrent(states[:, 1], states[:, 2])
     peaks = []
     for i in _local_maxima(heights):
         if refine_peaks:
             peaks.append(_parabolic_refine(deltas, heights, i))
         else:
             peaks.append((float(deltas[i]), float(heights[i])))
-    return SpectrumSweep(deltas=deltas, points=points, peaks=tuple(peaks))
+    return SpectrumSweep(deltas=deltas, states=states, t=t, peaks=tuple(peaks))
 
 
 def resonance_peak_height(params: SystemParams, amplitude: float = 1.0) -> float:
@@ -207,8 +277,7 @@ def reflection_transmission(params: SystemParams, drive: DriveParams) -> tuple[c
     magnons (gamma = 0) the two-port is lossless: |t|^2 + |r|^2 = 1, with
     perfect transparency t = 1 at delta = 0 for any s != 0.
     """
-    column = _resolvent_column(params, drive.delta)
-    t = -1j * params.kappa * column[0]
+    t = _transmission(params, _resolvent_columns(params, drive.delta))
     return t - 1.0, t
 
 

@@ -6,9 +6,15 @@ comparable linewidths, where the eigenfrequencies repel with a minimum gap of
 eigenvalues attract and coalesce at exceptional points of the reduced two-mode
 model located at s = +/- g1*g2/kappa.
 
-The 3x3 eigenvalues are computed from the characteristic cubic in closed form
-(depressed cubic via complex Cardano) with one Newton polish per root; tests
-validate them against companion-matrix and LAPACK eigensolvers.
+All eigenvalues come from LAPACK zgeev through numpy.linalg.eigvals, one path
+for a single matrix and for a whole (n, 3, 3) or (n, 2, 2) sweep stack: a sweep
+builds its matrix stack by broadcasting and makes one eigvals call, and the
+batched call returns the same values, bit for bit, as per-matrix calls.  zgeev
+is backward stable, so every eigenvalue satisfies the characteristic equation
+to a residual |det(lambda I - H)| <= 1e-9 ||H||^3, which the tests check
+alongside companion-matrix and closed-form oracles.  Branch tracking scores
+the k! assignments between consecutive sweep points in fixed-size blocks of
+array operations.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +34,9 @@ EP_GAP_TOLERANCE = 1e-6
 # The gap rises as sqrt(|s - s_ep|) away from a coalescence, so reaching a
 # 1e-6 gap requires localizing s far more tightly than 1e-6.
 EP_SEARCH_XATOL = 1e-13
-
-_OMEGA = cmath.exp(2j * math.pi / 3)  # primitive cube root of unity
+# Sweep steps that track_branches scores per pass; bounds its (block, k!, k!)
+# cost tensors instead of holding one for the whole sweep.
+TRACK_BLOCK_STEPS = 512
 
 
 class ExceptionalPointNotFound(ValueError):
@@ -95,72 +102,20 @@ class ExceptionalPoint:
     gap_at_location: float
 
 
-def _cubic_roots(b: complex, c: complex, d: complex) -> np.ndarray:
-    """Roots of the monic cubic x^3 + b x^2 + c x + d with complex coefficients."""
-    shift = b / 3.0
-    p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    if p == 0 and q == 0:
-        return np.full(3, -shift, dtype=complex)
-    disc = cmath.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3)
-    # Pick the branch that avoids cancellation in -q/2 +/- disc.
-    u3 = -q / 2.0 + disc
-    alt = -q / 2.0 - disc
-    if abs(alt) > abs(u3):
-        u3 = alt
-    u = u3 ** (1.0 / 3.0)
-    v = -p / (3.0 * u)
-    roots = np.array(
-        [
-            u + v,
-            u * _OMEGA + v * _OMEGA.conjugate(),
-            u * _OMEGA.conjugate() + v * _OMEGA,
-        ],
-        dtype=complex,
-    )
-    return roots - shift
-
-
-def _polish_root(x: complex, b: complex, c: complex, d: complex) -> complex:
-    """One guarded Newton step on the monic cubic; controls Cardano cancellation.
-
-    The step is kept only if it reduces the residual (near multiple roots the
-    derivative collapses and a raw step could fly off).
-    """
-    f = ((x + b) * x + c) * x + d
-    df = (3.0 * x + 2.0 * b) * x + c
-    if df == 0:
-        return x
-    x_new = x - f / df
-    f_new = ((x_new + b) * x_new + c) * x_new + d
-    return x_new if abs(f_new) <= abs(f) else x
-
-
 def eigenvalues_3x3(matrix: np.ndarray) -> np.ndarray:
-    """Three complex eigenvalues of a 3x3 matrix via its characteristic cubic.
+    """Complex eigenvalues of a 3x3 matrix, or of each matrix in a (..., 3, 3) stack.
 
-    Uses the closed-form depressed cubic with one Newton polish per root;
-    after polishing each root satisfies |det(lambda I - H)| <= 1e-9 ||H||^3.
+    LAPACK zgeev via numpy.linalg.eigvals; a stack costs one call, and its
+    values equal those of per-matrix calls bit for bit.  Each eigenvalue
+    satisfies |det(lambda I - H)| <= 1e-9 ||H||^3 (backward stability).  The
+    result has shape (..., 3), in LAPACK order.
     """
     h = np.asarray(matrix, dtype=complex)
-    if h.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
+    if h.shape[-2:] != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix or a stack of them, got shape {h.shape}")
+    if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
-    trace = h[0, 0] + h[1, 1] + h[2, 2]
-    minors = (
-        h[1, 1] * h[2, 2] - h[1, 2] * h[2, 1]
-        + h[0, 0] * h[2, 2] - h[0, 2] * h[2, 0]
-        + h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-    )
-    det = (
-        h[0, 0] * (h[1, 1] * h[2, 2] - h[1, 2] * h[2, 1])
-        - h[0, 1] * (h[1, 0] * h[2, 2] - h[1, 2] * h[2, 0])
-        + h[0, 2] * (h[1, 0] * h[2, 1] - h[1, 1] * h[2, 0])
-    )
-    b, c, d = -trace, minors, -det
-    roots = _cubic_roots(b, c, d)
-    return np.array([_polish_root(x, b, c, d) for x in roots], dtype=complex)
+    return np.linalg.eigvals(h)
 
 
 def closed_form_symmetric(params: SystemParams) -> np.ndarray:
@@ -227,22 +182,43 @@ def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.nda
     where the best and runner-up assignments are indistinguishable (within
     ambiguity_tol relative) are reported: there the branches are coalesced and
     either assignment is valid.
+
+    The k! x k! costs (previous assignment, next assignment) of every step are
+    scored with array operations, TRACK_BLOCK_STEPS steps at a time; what is
+    left per step is a walk over the chosen permutation indices.
     """
     raw = np.asarray(raw, dtype=complex)
     n, k = raw.shape
-    tracked = raw.copy()
+    perms = np.array(list(itertools.permutations(range(k))))
+    n_perms = len(perms)
+    # choice[i, q]: permutation taken at step i when step i - 1 took q, and
+    # flagged[i, q]: whether that choice was ambiguous.
+    choice = np.zeros((n, n_perms), dtype=np.uint8)
+    flagged = np.zeros((n, n_perms), dtype=np.uint8)
+    for start in range(1, n, TRACK_BLOCK_STEPS):
+        stop = min(start + TRACK_BLOCK_STEPS, n)
+        step = raw[start:stop, :, None] - raw[start - 1:stop - 1, None, :]
+        # dist[i, a, b] = |raw[i, a] - raw[i - 1, b]|; hypot, like abs() of a
+        # complex scalar, keeps the costs bitwise equal to per-step scoring.
+        dist = np.hypot(step.real, step.imag)
+        # costs[i, q, p] = sum over j of dist[i, p[j], q[j]], summed in j order.
+        costs = dist[:, perms[None, :, 0], perms[:, None, 0]]
+        for j in range(1, k):
+            costs = costs + dist[:, perms[None, :, j], perms[:, None, j]]
+        low = np.partition(costs, 1, axis=2)
+        best, runner_up = low[..., 0], low[..., 1]
+        scale = np.maximum(np.maximum(best, np.abs(raw[start:stop]).max(axis=1)[:, None]), 1e-300)
+        choice[start:stop] = np.argmin(costs, axis=2)
+        flagged[start:stop] = runner_up - best <= ambiguity_tol * scale
+    choice_bytes, flagged_bytes = choice.tobytes(), flagged.tobytes()
+    taken = [0] * n  # permutation index per sweep point; 0 is the identity
     ambiguous_steps: list[int] = []
-    perms = list(itertools.permutations(range(k)))
     for i in range(1, n):
-        prev = tracked[i - 1]
-        costs = [sum(abs(raw[i, p[j]] - prev[j]) for j in range(k)) for p in perms]
-        order = int(np.argmin(costs))
-        best = costs[order]
-        runner_up = min(c for m, c in enumerate(costs) if m != order)
-        scale = max(best, np.abs(raw[i]).max(), 1e-300)
-        if runner_up - best <= ambiguity_tol * scale:
+        offset = i * n_perms + taken[i - 1]
+        if flagged_bytes[offset]:
             ambiguous_steps.append(i)
-        tracked[i] = raw[i, list(perms[order])]
+        taken[i] = choice_bytes[offset]
+    tracked = np.take_along_axis(raw, perms[taken], axis=1)
     return tracked, ambiguous_steps
 
 
@@ -256,21 +232,22 @@ def sweep_eigenvalues(
     """Eigenvalues along an s sweep with continuity-tracked branch identity.
 
     The full three-mode spectrum is used unless adiabatic=True, which sweeps
-    the reduced two-mode model instead.  Sweep points are uniform in s.
+    the reduced two-mode model instead.  Sweep points are uniform in s; the
+    whole sweep is one matrix stack and one eigvals call.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
     if s_max < s_min:
         raise ValueError(f"empty sweep range [{s_min}, {s_max}]")
-    s_values = np.linspace(s_min, s_max, n_points)
-    rows = []
-    for s in s_values:
-        point = replace(params, s=float(s))
-        if adiabatic:
-            rows.append(np.linalg.eigvals(build_adiabatic_model(point).matrix))
-        else:
-            rows.append(eigenvalues_3x3(build_full_hamiltonian(point)))
-    tracked, ambiguous = track_branches(np.array(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_values = np.linspace(s_min, s_max, n_points)
+    if not np.all(np.isfinite(s_values)):
+        raise ValueError(f"sweep points must be finite, got range [{s_min}, {s_max}]")
+    if adiabatic:
+        raw = np.linalg.eigvals(build_adiabatic_model(params, s=s_values).matrix)
+    else:
+        raw = eigenvalues_3x3(build_full_hamiltonian(params, s=s_values))
+    tracked, ambiguous = track_branches(raw)
     spans = tuple(
         (float(s_values[i - 1]), float(s_values[i])) for i in ambiguous
     )
@@ -310,11 +287,10 @@ def _golden_section_min(func, a: float, b: float, xatol: float) -> float:
 
 
 def _magnon_pair_gap(params: SystemParams, s: float, adiabatic: bool) -> tuple[float, complex]:
-    point = replace(params, s=float(s))
     if adiabatic:
-        values = _eig_2x2(build_adiabatic_model(point).matrix)
+        values = _eig_2x2(build_adiabatic_model(params, s=s).matrix)
     else:
-        values = eigenvalues_3x3(build_full_hamiltonian(point))
+        values = eigenvalues_3x3(build_full_hamiltonian(params, s=s))
         # In the bad-cavity regime the cavity-like eigenvalue is by far the
         # broadest; drop it and keep the magnon-like pair.
         values = np.delete(values, np.argmin(values.imag))

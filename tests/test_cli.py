@@ -18,6 +18,8 @@ from cavitymagnons.cli import (
     run,
 )
 from cavitymagnons.dynamics import MAX_STEPS
+from cavitymagnons.model import DriveParams
+from cavitymagnons.response import reflection_transmission, steady_state
 
 SQRT2 = math.sqrt(2.0)
 
@@ -222,6 +224,27 @@ class TestRunModes:
         assert sidecar["features"]["reflection_dip"]["abs2_r"] < 0.1024
         assert sidecar["features"]["nearest_zero_detuning"]["abs2_r"] == pytest.approx(0.1024, abs=1e-10)
 
+    @pytest.mark.parametrize("template", [REFLECTION_CONFIG, REFLECTION_CONFIG.replace(
+        "reflection-sweep", "response-sweep") + "\n[drive]\namplitude = 1.5\n"])
+    def test_delta_sweep_rows_equal_single_point_solves(self, tmp_path, template):
+        # 17 significant digits round-trip a float64, so the CSV holds the exact values.
+        out = tmp_path / "sweep.csv"
+        config = parse_config(template.format(path=out))
+        run(config)
+        headers, rows = read_csv(out)
+        col = {name: rows[:, i] for i, name in enumerate(headers)}
+        for i, delta in enumerate(col["delta"]):
+            if config.mode == "reflection-sweep":
+                r, t = reflection_transmission(config.system, DriveParams(delta=delta))
+                assert (col["re_r"][i], col["im_r"][i]) == (r.real, r.imag)
+                assert (col["re_t"][i], col["im_t"][i]) == (t.real, t.imag)
+            else:
+                point = steady_state(config.system, DriveParams(delta=delta, amplitude=1.5))
+                for name in ("a", "m1", "m2"):
+                    value = getattr(point, name)
+                    assert (col[f"re_{name}"][i], col[f"im_{name}"][i]) == (value.real, value.imag)
+                assert col["spincurrent"][i] == point.total_spincurrent
+
     def test_ep_find(self, tmp_path):
         out = tmp_path / "ep.csv"
         text = (
@@ -358,11 +381,27 @@ class TestMainExitCodes:
     def test_non_finite_output_is_numerical_error(self, tmp_path, capsys, body, column):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(body + f"[output]\npath = {tmp_path / 'out.csv'}\nformat = both\n")
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["--config", str(config_path)]) == 2
+        assert main(["--config", str(config_path)]) == 2
         assert f"column {column}" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("body,column", [
+        ("[run]\nmode = dynamics\n[drive]\namplitude = 1e308\n", "re_a"),
+        ("[run]\nmode = response-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n"
+         "[drive]\namplitude = 1e160\n", "spincurrent"),
+    ])
+    def test_overflow_prints_only_the_diagnostic(self, tmp_path, body, column):
+        # A fresh process, so numpy's default warning handling applies.
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(body + f"[output]\npath = {tmp_path / 'out.csv'}\nformat = both\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cavitymagnons", "--config", str(config_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"numerical error: non-finite values in column {column}; nothing written\n"
+        assert proc.stdout == ""
 
     def test_ep_not_found_is_numerical_error(self, tmp_path, capsys):
         config_path = tmp_path / "run.cfg"

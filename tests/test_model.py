@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from dataclasses import replace
+
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavitymagnons.model import (
@@ -16,6 +19,7 @@ from cavitymagnons.model import (
     build_full_hamiltonian,
     coupling_strength_estimate,
     drive_amplitude_from_power,
+    drive_frame_matrices,
     lindblad_mean_field_drift,
     polariton_basis,
     polariton_transform,
@@ -107,6 +111,25 @@ class TestFullHamiltonian:
         numeric = np.poly(h)
         scale = np.abs(expected).max()
         assert_allclose(numeric, expected, rtol=0, atol=1e-12 * max(scale, 1.0))
+
+
+class TestSweepStacks:
+    @given(system_params_strategy(), st.lists(splittings, min_size=1, max_size=20))
+    def test_stacks_equal_single_point_builds(self, params, s_values):
+        full = build_full_hamiltonian(params, s=s_values)
+        reduced = build_adiabatic_model(params, s=s_values).matrix
+        assert full.shape == (len(s_values), 3, 3) and reduced.shape == (len(s_values), 2, 2)
+        for i, s in enumerate(s_values):
+            point = replace(params, s=s)
+            assert np.array_equal(full[i], build_full_hamiltonian(point))
+            assert np.array_equal(reduced[i], build_adiabatic_model(point).matrix)
+
+    @given(system_params_strategy(), st.lists(splittings, min_size=1, max_size=20))
+    def test_drive_frame_stack_equals_driven_systems(self, params, deltas):
+        stack = drive_frame_matrices(params, np.array(deltas))
+        assert stack.shape == (len(deltas), 3, 3)
+        for i, delta in enumerate(deltas):
+            assert np.array_equal(stack[i], build_driven_system(params, DriveParams(delta=delta)).matrix)
 
 
 class TestDrivenSystem:

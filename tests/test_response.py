@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from cavitymagnons.model import DriveParams, SystemParams, build_driven_system
 from cavitymagnons.response import (
+    ResponsePoint,
     analytic_magnon_response,
     dark_mode_amplitude,
     reflection_transmission,
@@ -159,6 +160,59 @@ class TestSpincurrentSpectrum:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             spincurrent_spectrum(WEAK, [])
+
+    @pytest.mark.parametrize("deltas,amplitude", [
+        ([0.0, math.nan], 1.0),
+        ([0.0, math.inf], 1.0),
+        ([[0.0, 0.1]], 1.0),
+        ([0.0, 0.1], -1.0),
+        ([0.0, 0.1], math.inf),
+    ])
+    def test_rejects_invalid_grid_or_amplitude(self, deltas, amplitude):
+        with pytest.raises(ValueError):
+            spincurrent_spectrum(WEAK, deltas, amplitude)
+
+    @given(damped_params, st.lists(detunings, min_size=1, max_size=40), st.floats(min_value=0.0, max_value=3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_columns_equal_single_point_solves(self, params, deltas, amplitude):
+        sweep = spincurrent_spectrum(params, deltas, amplitude)
+        spin, dark, r = sweep.total_spincurrent, sweep.dark_amplitude, sweep.r
+        for i, delta in enumerate(deltas):
+            point = steady_state(params, DriveParams(delta=delta, amplitude=amplitude))
+            assert np.array_equal(sweep.states[i], [point.a, point.m1, point.m2])
+            assert spin[i] == point.total_spincurrent
+            assert dark[i] == point.dark_amplitude
+            assert sweep.t[i] == point.t and r[i] == point.r
+            assert (r[i], sweep.t[i]) == reflection_transmission(params, DriveParams(delta=delta))
+
+    def test_columns_are_read_only(self):
+        sweep = spincurrent_spectrum(WEAK, np.linspace(-0.1, 0.1, 5))
+        for column in (sweep.deltas, sweep.states, sweep.t):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_grid_is_copied(self):
+        deltas = np.linspace(-0.1, 0.1, 5)
+        spincurrent_spectrum(WEAK, deltas)
+        deltas[0] = 1.0  # the caller's array stays writable
+
+    def test_points_view(self):
+        deltas = np.linspace(-0.3, 0.3, 7)
+        sweep = spincurrent_spectrum(WEAK, deltas, amplitude=2.0)
+        points = sweep.points
+        singles = [steady_state(WEAK, DriveParams(delta=float(d), amplitude=2.0)) for d in deltas]
+        assert len(points) == 7
+        assert all(isinstance(p, ResponsePoint) for p in points)
+        assert list(points) == singles
+        assert points[0] == singles[0] and points[6] == singles[6]
+        assert points[-1] == singles[-1] and points[-7] == singles[0]
+        assert points[2:5] == tuple(singles[2:5])
+        assert points[::-2] == tuple(singles[::-2])
+        assert points[5:2] == ()
+        for index in (7, -8):
+            with pytest.raises(IndexError):
+                points[index]
+        assert sweep.total_spincurrent.tolist() == [p.total_spincurrent for p in points]
 
     @given(st.builds(
         SystemParams, kappa=kappas, gamma1=positive_rates, gamma2=positive_rates,

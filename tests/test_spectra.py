@@ -1,14 +1,17 @@
 """Tests for eigenvalue computation, branch tracking and the EP search."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavitymagnons.model import SystemParams, build_adiabatic_model, build_full_hamiltonian
 from cavitymagnons.spectra import (
+    TRACK_BLOCK_STEPS,
     ExceptionalPointNotFound,
     adiabatic_eigenvalues,
     closed_form_symmetric,
@@ -26,8 +29,43 @@ SQRT2 = math.sqrt(2.0)
 params_strategy = system_params_strategy()
 
 
+def track_branches_reference(raw, ambiguity_tol=1e-9):
+    """Per-step nearest-matching tracker: the loop that track_branches vectorizes."""
+    raw = np.asarray(raw, dtype=complex)
+    n, k = raw.shape
+    tracked = raw.copy()
+    ambiguous_steps = []
+    perms = list(itertools.permutations(range(k)))
+    for i in range(1, n):
+        prev = tracked[i - 1]
+        costs = [sum(abs(raw[i, p[j]] - prev[j]) for j in range(k)) for p in perms]
+        order = int(np.argmin(costs))
+        best = costs[order]
+        runner_up = min(c for m, c in enumerate(costs) if m != order)
+        scale = max(best, np.abs(raw[i]).max(), 1e-300)
+        if runner_up - best <= ambiguity_tol * scale:
+            ambiguous_steps.append(i)
+        tracked[i] = raw[i, list(perms[order])]
+    return tracked, ambiguous_steps
+
+
+# Sweep lengths around the tracker's block boundaries.
+BLOCK_EDGE_SIZES = (1, 2, TRACK_BLOCK_STEPS - 1, TRACK_BLOCK_STEPS, TRACK_BLOCK_STEPS + 1,
+                    2 * TRACK_BLOCK_STEPS + 1)
+
+
 def char_poly_residual(h, lam):
-    return abs(np.linalg.det(lam * np.eye(3) - h))
+    """|det(lam I - h)| by cofactor expansion.
+
+    An LU determinant divides by its pivots and returns NaN when one is tiny
+    (g1 = 5e-308 with an exact eigenvalue); the expansion only multiplies.
+    """
+    m = lam * np.eye(3) - h
+    return abs(
+        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
+        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
+        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
+    )
 
 
 class TestEigenvalues3x3:
@@ -76,6 +114,7 @@ class TestEigenvalues3x3:
         assert abs(roots.prod() - det) < max(tol, 1e-9) * max(1.0, abs(det), scale ** 3)
 
     @given(params_strategy)
+    @example(SystemParams(kappa=1.0, gamma1=0.0, gamma2=0.0, g1=5.082810711395547e-308, g2=1.0, s=2.0))
     @settings(max_examples=100)
     def test_polished_roots_satisfy_characteristic_equation(self, params):
         h = build_full_hamiltonian(params)
@@ -88,6 +127,20 @@ class TestEigenvalues3x3:
         h[0, 0] = np.nan
         with pytest.raises(ValueError):
             eigenvalues_3x3(h)
+        with pytest.raises(ValueError):
+            eigenvalues_3x3(np.stack([np.eye(3), h]))
+
+    @given(params_strategy, st.integers(min_value=1, max_value=40))
+    @settings(max_examples=50)
+    def test_stack_matches_single_matrices_exactly(self, params, n):
+        s_values = np.linspace(-abs(params.s) - 1.0, abs(params.s) + 1.0, n)
+        stacked = eigenvalues_3x3(build_full_hamiltonian(params, s=s_values))
+        assert stacked.shape == (n, 3)
+        for i, s in enumerate(s_values):
+            single = eigenvalues_3x3(build_full_hamiltonian(SystemParams(
+                kappa=params.kappa, gamma1=params.gamma1, gamma2=params.gamma2,
+                g1=params.g1, g2=params.g2, s=float(s))))
+            assert np.array_equal(stacked[i], single)
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -243,6 +296,61 @@ class TestBranchTracking:
         )
         assert diff.max() < 1e-9
 
+    @given(
+        params_strategy,
+        st.floats(min_value=1e-3, max_value=6.0),
+        st.sampled_from(BLOCK_EDGE_SIZES),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_step_reference(self, params, half_width, n, adiabatic):
+        s_values = np.linspace(-half_width, half_width, n)
+        if adiabatic:
+            raw = np.linalg.eigvals(build_adiabatic_model(params, s=s_values).matrix)
+        else:
+            raw = eigenvalues_3x3(build_full_hamiltonian(params, s=s_values))
+        tracked, ambiguous = track_branches(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(BLOCK_EDGE_SIZES))
+    @settings(max_examples=30, deadline=None)
+    def test_random_walks_match_per_step_reference(self, seed, n):
+        # Unstructured eigenvalue clouds force every permutation to be chosen.
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        tracked, ambiguous = track_branches(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous
+
+    def test_ties_and_coalescences_across_block_edges(self):
+        n = 2 * TRACK_BLOCK_STEPS + 1
+        raw = np.tile(np.array([1 + 0j, -1 + 0j, 0.5j]), (n, 1))
+        coalesced = [TRACK_BLOCK_STEPS - 1, TRACK_BLOCK_STEPS, TRACK_BLOCK_STEPS + 1, n - 1]
+        for i in coalesced:
+            raw[i] = [0.2 + 0j, 0.2 + 0j, 0.5j]
+        tracked, ambiguous = track_branches(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous
+        # Every step into or out of a coalesced row is flagged; steps between
+        # unchanged distinct rows are not.
+        assert ambiguous == sorted({i for c in coalesced for i in (c, c + 1) if i < n})
+
+    def test_near_tie_matches_per_step_reference(self):
+        # The two assignments cost the same up to rounding, so the choice
+        # depends on rounding each modulus as abs() of a complex scalar does.
+        raw = np.array([
+            [-0.31630015636915454 - 0.12853466294403426j, 0.4116305363741328 + 1.3664634705496859j],
+            [1.0425133694426776 - 0.6651946734866133j, 1.0425133694426776 - 0.6651946734866135j],
+        ])
+        tracked, ambiguous = track_branches(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous
+
     def test_adiabatic_sweep_has_two_branches(self):
         branch_set = sweep_eigenvalues(SystemParams(), -0.2, 0.2, 51, adiabatic=True)
         assert branch_set.branches.shape == (51, 2)
@@ -252,6 +360,13 @@ class TestBranchTracking:
             sweep_eigenvalues(SystemParams(), 1.0, -1.0, 10)
         with pytest.raises(ValueError):
             sweep_eigenvalues(SystemParams(), -1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("adiabatic", [False, True])
+    def test_rejects_non_finite_sweep_points(self, adiabatic):
+        with pytest.raises(ValueError):
+            sweep_eigenvalues(SystemParams(), -math.inf, 1.0, 10, adiabatic=adiabatic)
+        with pytest.raises(ValueError):
+            sweep_eigenvalues(SystemParams(), -1e308, 1e308, 10, adiabatic=adiabatic)
 
 
 class TestFindExceptionalPoint:
