@@ -562,17 +562,22 @@ def run(config: RunConfig) -> list[str]:
 
 
 def _first_singular_point(config: RunConfig) -> str:
-    """Best-effort description of the sweep point that made the solve singular.
+    """Best-effort description of the drive detuning that made the solve singular.
 
-    The stacked solve raises on an exact zero pivot of the LU factorization,
-    which is where the determinant's sign (from the same factorization) is 0.
+    The solve raises on an exact zero pivot of the LU factorization, which is
+    where the determinant's sign (from the same factorization) is 0.  A
+    dynamics run solves for its steady state at the one [dynamics] delta.
     """
-    if config.mode in ("response-sweep", "reflection-sweep") and config.sweep_points:
-        deltas = np.linspace(config.sweep_min, config.sweep_max, config.sweep_points)
-        sign, _ = np.linalg.slogdet(drive_frame_matrices(config.system, deltas))
-        singular = np.flatnonzero(sign == 0)
-        if singular.size:
-            return f"delta={_fmt(deltas[singular[0]])}"
+    if config.mode == "dynamics":
+        name, deltas = "dynamics.delta", np.array([config.drive.delta])
+    elif config.mode in ("response-sweep", "reflection-sweep") and config.sweep_points:
+        name, deltas = "delta", np.linspace(config.sweep_min, config.sweep_max, config.sweep_points)
+    else:
+        return "unknown sweep point"
+    sign, _ = np.linalg.slogdet(drive_frame_matrices(config.system, deltas))
+    singular = np.flatnonzero(sign == 0)
+    if singular.size:
+        return f"{name}={_fmt(deltas[singular[0]])}"
     return "unknown sweep point"
 
 

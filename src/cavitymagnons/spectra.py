@@ -6,7 +6,7 @@ comparable linewidths, where the eigenfrequencies repel with a minimum gap of
 eigenvalues attract and coalesce at exceptional points of the reduced two-mode
 model located at s = +/- g1*g2/kappa.
 
-All eigenvalues come from LAPACK zgeev through numpy.linalg.eigvals, one path
+Sweep eigenvalues come from LAPACK zgeev through numpy.linalg.eigvals, one path
 for a single matrix and for a whole (n, 3, 3) or (n, 2, 2) sweep stack: a sweep
 builds its matrix stack by broadcasting and makes one eigvals call, and the
 batched call returns the same values, bit for bit, as per-matrix calls.  zgeev
@@ -15,6 +15,12 @@ to a residual |det(lambda I - H)| <= 1e-9 ||H||^3, which the tests check
 alongside companion-matrix and closed-form oracles.  Branch tracking scores
 the k! assignments between consecutive sweep points in fixed-size blocks of
 array operations.
+
+The exceptional-point search is a golden-section minimization of the gap of
+the magnon-like pair.  It builds H(s=0) once per search and evaluates each
+probe s on Python scalars: one LAPACK eigvals call on H(s=0) + s*diag(0, 1, -1)
+for the full model, the closed-form 2x2 pair for the reduced one.  Each probe
+gives the same bits as building and solving H(s) on its own.
 """
 
 from __future__ import annotations
@@ -22,11 +28,18 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AdiabaticModel, SystemParams, build_adiabatic_model, build_full_hamiltonian
+from .model import (
+    _FULL_SPLITTING,
+    AdiabaticModel,
+    SystemParams,
+    build_adiabatic_model,
+    build_full_hamiltonian,
+)
 
 # A pair of eigenvalues closer than this (in kappa units) counts as coalesced.
 EP_GAP_TOLERANCE = 1e-6
@@ -185,10 +198,13 @@ def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.nda
 
     The k! x k! costs (previous assignment, next assignment) of every step are
     scored with array operations, TRACK_BLOCK_STEPS steps at a time; what is
-    left per step is a walk over the chosen permutation indices.
+    left per step is a walk over the chosen permutation indices.  A single
+    branch needs no matching and comes back unchanged.
     """
     raw = np.asarray(raw, dtype=complex)
     n, k = raw.shape
+    if k == 1:
+        return raw.copy(), []
     perms = np.array(list(itertools.permutations(range(k))))
     n_perms = len(perms)
     # choice[i, q]: permutation taken at step i when step i - 1 took q, and
@@ -254,14 +270,6 @@ def sweep_eigenvalues(
     return EigenBranchSet(sweep_values=s_values, branches=tracked, ambiguous_spans=spans)
 
 
-def _eig_2x2(matrix: np.ndarray) -> np.ndarray:
-    """Closed-form 2x2 eigenvalues; exact through a coalescence, where iterative
-    eigensolvers leave sqrt(eps)-size splittings on a defective matrix."""
-    mean = (matrix[0, 0] + matrix[1, 1]) / 2.0
-    radical = cmath.sqrt(((matrix[0, 0] - matrix[1, 1]) / 2.0) ** 2 + matrix[0, 1] * matrix[1, 0])
-    return np.array([mean + radical, mean - radical], dtype=complex)
-
-
 def _golden_section_min(func, a: float, b: float, xatol: float) -> float:
     """Golden-section minimum of a unimodal scalar function on [a, b].
 
@@ -286,16 +294,41 @@ def _golden_section_min(func, a: float, b: float, xatol: float) -> float:
     return 0.5 * (a + b)
 
 
-def _magnon_pair_gap(params: SystemParams, s: float, adiabatic: bool) -> tuple[float, complex]:
+def _pair_gap_function(params: SystemParams, adiabatic: bool) -> Callable[[float], tuple[float, complex]]:
+    """Map s -> (gap, mean) of the magnon-like eigenvalue pair, built once per search.
+
+    H(s) is summed from H(s=0) as the stacked builders sum it, so each
+    evaluation has the bits of building and solving H(s) on its own.  The
+    reduced pair is in closed form: exact through a coalescence, where
+    iterative eigensolvers leave sqrt(eps)-size splittings on a defective matrix.
+    """
     if adiabatic:
-        values = _eig_2x2(build_adiabatic_model(params, s=s).matrix)
-    else:
-        values = eigenvalues_3x3(build_full_hamiltonian(params, s=s))
+        (a00, a01), (a10, a11) = build_adiabatic_model(params, s=0.0).matrix.tolist()
+        mean = (a00 + a11) / 2.0  # the trace does not depend on s
+        coupling = a01 * a10
+
+        def gap(s: float) -> tuple[float, complex]:
+            half = ((a00 + s) - (a11 - s)) / 2.0
+            radical = cmath.sqrt(half * half + coupling)
+            upper, lower = mean + radical, mean - radical
+            return abs(upper - lower), (upper + lower) / 2
+
+        return gap
+
+    h0 = build_full_hamiltonian(params, s=0.0)
+
+    def gap(s: float) -> tuple[float, complex]:
+        a, b, c = np.linalg.eigvals(h0 + s * _FULL_SPLITTING).tolist()
         # In the bad-cavity regime the cavity-like eigenvalue is by far the
-        # broadest; drop it and keep the magnon-like pair.
-        values = np.delete(values, np.argmin(values.imag))
-    gap = abs(values[0] - values[1])
-    return gap, complex(values.mean())
+        # broadest; drop it (the first one on ties, as argmin does) and keep
+        # the magnon-like pair.
+        if a.imag <= b.imag and a.imag <= c.imag:
+            a = c
+        elif b.imag <= c.imag:
+            b = c
+        return abs(a - b), (a + b) / 2
+
+    return gap
 
 
 def find_exceptional_point(
@@ -311,22 +344,30 @@ def find_exceptional_point(
     reduced two-mode model, whose coalescence sits exactly at s = g1*g2/kappa
     for equal dressed dampings; model="full" searches the three-mode spectrum
     instead (its coalescence is shifted upward by O(g^2/kappa^2) relative
-    corrections).  Raises ExceptionalPointNotFound when the residual gap at
-    the minimum exceeds EP_GAP_TOLERANCE*kappa.
+    corrections).
+
+    The matrix is built once per search; each of the ~60 gap evaluations is
+    then one LAPACK eigvals call on H(s=0) + s*diag(0, 1, -1) (full model) or
+    the closed-form 2x2 pair on Python complex scalars (reduced model).
+
+    Raises ValueError for a non-finite or empty bracket, and
+    ExceptionalPointNotFound when the residual gap at the minimum exceeds
+    EP_GAP_TOLERANCE*kappa or is not a number.
     """
     if model not in ("adiabatic", "full"):
         raise ValueError(f"model must be 'adiabatic' or 'full', got {model!r}")
+    # A finite bracket whose width overflows would put infinite probe points
+    # into H(s), so the width is checked too.
+    if not math.isfinite(float(s_max) - float(s_min)):
+        raise ValueError(f"search bracket must be finite, got [{s_min}, {s_max}]")
     if s_max <= s_min:
         raise ValueError(f"empty search bracket [{s_min}, {s_max}]")
-    adiabatic = model == "adiabatic"
+    gap_and_mean = _pair_gap_function(params, model == "adiabatic")
     location = _golden_section_min(
-        lambda s: _magnon_pair_gap(params, s, adiabatic)[0],
-        float(s_min),
-        float(s_max),
-        EP_SEARCH_XATOL * params.kappa,
+        lambda s: gap_and_mean(s)[0], float(s_min), float(s_max), EP_SEARCH_XATOL * params.kappa
     )
-    gap, value = _magnon_pair_gap(params, location, adiabatic)
-    if gap > EP_GAP_TOLERANCE * params.kappa:
+    gap, value = gap_and_mean(location)
+    if not gap <= EP_GAP_TOLERANCE * params.kappa:
         raise ExceptionalPointNotFound(
             f"no coalescence in [{s_min}, {s_max}]: minimum gap {gap:.3e} at s={location:.6g} "
             f"exceeds {EP_GAP_TOLERANCE * params.kappa:.1e}"

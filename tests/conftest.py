@@ -1,11 +1,19 @@
-"""Shared helpers: eigenvalue-multiset comparison and SystemParams strategies."""
+"""Shared helpers: eigenvalue-multiset comparison and SystemParams strategies.
+
+Hypothesis runs derandomized and without its example database, so every
+checkout and every run draws the same examples.
+"""
 
 import itertools
 
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from cavitymagnons.model import SystemParams
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 rates = st.floats(min_value=0.0, max_value=3.0, allow_nan=False, allow_subnormal=False)
 couplings = st.floats(min_value=0.0, max_value=3.0, allow_nan=False, allow_subnormal=False)

@@ -361,6 +361,21 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "numerical error" in err and "delta=-0.5" in err
 
+    def test_numerical_error_names_dynamics_delta(self, tmp_path, capsys):
+        # The steady state of a dynamics run is solved at [dynamics] delta = s.
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(
+            "[run]\nmode = dynamics\n"
+            "[system]\ngamma1 = 0\ngamma2 = 0\ng1 = 0\ng2 = 0\ns = 0.5\n"
+            "[drive]\namplitude = 1\n[dynamics]\ndelta = 0.5\n"
+            f"[output]\npath = {tmp_path / 'dyn.csv'}\nformat = csv\n"
+        )
+        assert main(["--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            "numerical error: singular steady-state system at dynamics.delta=0.5\n"
+        )
+        assert not (tmp_path / "dyn.csv").exists()
+
     def test_unstable_step_is_numerical_error(self, tmp_path, capsys):
         config_path = tmp_path / "run.cfg"
         config_path.write_text(

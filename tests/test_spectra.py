@@ -1,5 +1,6 @@
 """Tests for eigenvalue computation, branch tracking and the EP search."""
 
+import cmath
 import itertools
 import math
 
@@ -11,8 +12,12 @@ from numpy.testing import assert_allclose
 
 from cavitymagnons.model import SystemParams, build_adiabatic_model, build_full_hamiltonian
 from cavitymagnons.spectra import (
+    EP_SEARCH_XATOL,
     TRACK_BLOCK_STEPS,
+    ExceptionalPoint,
     ExceptionalPointNotFound,
+    _golden_section_min,
+    _pair_gap_function,
     adiabatic_eigenvalues,
     closed_form_symmetric,
     eigenvalues_3x3,
@@ -47,6 +52,34 @@ def track_branches_reference(raw, ambiguity_tol=1e-9):
             ambiguous_steps.append(i)
         tracked[i] = raw[i, list(perms[order])]
     return tracked, ambiguous_steps
+
+
+def pair_gap_reference(params, s, adiabatic):
+    """Gap and mean of the magnon-like pair, building and solving H(s) at each s.
+
+    The per-evaluation path that the exceptional-point search replaced with
+    one build per search.
+    """
+    if adiabatic:
+        m = build_adiabatic_model(params, s=s).matrix
+        mean = (m[0, 0] + m[1, 1]) / 2.0
+        radical = cmath.sqrt(((m[0, 0] - m[1, 1]) / 2.0) ** 2 + m[0, 1] * m[1, 0])
+        values = np.array([mean + radical, mean - radical], dtype=complex)
+    else:
+        values = eigenvalues_3x3(build_full_hamiltonian(params, s=s))
+        values = np.delete(values, np.argmin(values.imag))
+    return abs(values[0] - values[1]), complex(values.mean())
+
+
+def find_exceptional_point_reference(params, s_min, s_max, model):
+    """Golden-section search over pair_gap_reference, without the tolerance check."""
+    adiabatic = model == "adiabatic"
+    location = _golden_section_min(
+        lambda s: pair_gap_reference(params, s, adiabatic)[0],
+        float(s_min), float(s_max), EP_SEARCH_XATOL * params.kappa,
+    )
+    gap, value = pair_gap_reference(params, location, adiabatic)
+    return ExceptionalPoint(location=location, degenerate_value=value, gap_at_location=gap)
 
 
 # Sweep lengths around the tracker's block boundaries.
@@ -351,6 +384,14 @@ class TestBranchTracking:
         assert np.array_equal(tracked, expected)
         assert ambiguous == expected_ambiguous
 
+    @pytest.mark.parametrize("n", [1, 2, TRACK_BLOCK_STEPS + 1])
+    def test_single_branch_is_returned_unchanged(self, n):
+        raw = (np.linspace(-1.0, 1.0, n) - 0.1j)[:, None]
+        tracked, ambiguous = track_branches(raw)
+        assert tracked.shape == (n, 1)
+        assert np.array_equal(tracked, raw)
+        assert ambiguous == []
+
     def test_adiabatic_sweep_has_two_branches(self):
         branch_set = sweep_eigenvalues(SystemParams(), -0.2, 0.2, 51, adiabatic=True)
         assert branch_set.branches.shape == (51, 2)
@@ -403,3 +444,63 @@ class TestFindExceptionalPoint:
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError):
             find_exceptional_point(SystemParams(), 0.02, 0.06, model="other")
+
+    @pytest.mark.parametrize("model", ["adiabatic", "full"])
+    @pytest.mark.parametrize("bracket", [
+        (math.nan, 0.06), (0.02, math.inf), (-math.inf, math.inf), (0.02, math.nan),
+        # Finite ends whose width overflows.
+        (-1e308, 1e308),
+    ])
+    def test_rejects_non_finite_bracket(self, model, bracket):
+        with pytest.raises(ValueError, match="must be finite"):
+            find_exceptional_point(SystemParams(), *bracket, model=model)
+
+    def test_not_a_number_gap_is_not_a_coalescence(self):
+        # g^2/kappa overflows, so the reduced matrix holds infinities and every
+        # gap is NaN; NaN must not pass the tolerance test.
+        p = SystemParams(kappa=0.5, gamma1=0, gamma2=0, g1=1e154, g2=1e154)
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(pair_gap_reference(p, 0.04, adiabatic=True)[0])
+        with pytest.raises(ExceptionalPointNotFound, match="gap nan"):
+            find_exceptional_point(p, 0.02, 0.06, model="adiabatic")
+
+    @pytest.mark.parametrize("model", ["adiabatic", "full"])
+    @pytest.mark.parametrize("params", [
+        SystemParams(kappa=1, gamma1=0, gamma2=0, g1=0.2, g2=0.2),
+        SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0.2, g2=0.2),
+    ])
+    def test_matches_search_over_per_point_solves(self, params, model):
+        expected = find_exceptional_point_reference(params, 0.02, 0.06, model)
+        assert find_exceptional_point(params, 0.02, 0.06, model=model) == expected
+
+
+class TestPairGapFunction:
+    """The per-search gap function against building and solving H(s) at each s."""
+
+    @given(params_strategy, splittings, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_point_solve_bitwise(self, params, s, adiabatic):
+        gap_and_mean = _pair_gap_function(params, adiabatic)
+        # Also probe the point's own splitting and the reduced EP location.
+        for at in (s, params.s, params.induced_rate, -params.induced_rate):
+            gap, mean = gap_and_mean(at)
+            expected_gap, expected_mean = pair_gap_reference(params, at, adiabatic)
+            assert gap == expected_gap
+            assert mean == expected_mean
+
+    @pytest.mark.parametrize("params,tied", [
+        # Decoupled modes: the eigenvalues are the diagonal, exactly.
+        (SystemParams(kappa=1, gamma1=1, gamma2=0.5, g1=0, g2=0, s=0.3), (0, 1)),
+        (SystemParams(kappa=1, gamma1=0.3, gamma2=1, g1=0, g2=0, s=0.3), (0, 2)),
+        (SystemParams(kappa=1, gamma1=2, gamma2=2, g1=0, g2=0, s=0.3), (1, 2)),
+        (SystemParams(kappa=1, gamma1=1, gamma2=1, g1=0, g2=0, s=0.3), (0, 1, 2)),
+        # Equal linewidths with coupling: all three share -i*kappa.
+        (SystemParams(kappa=1, gamma1=1, gamma2=1, g1=0.5, g2=0.5, s=0.0), (0, 1, 2)),
+    ])
+    def test_drops_the_first_of_tied_broadest_eigenvalues(self, params, tied):
+        imag = eigenvalues_3x3(build_full_hamiltonian(params)).imag
+        assert tuple(np.flatnonzero(imag == imag.min())) == tied
+        gap, mean = _pair_gap_function(params, adiabatic=False)(params.s)
+        expected_gap, expected_mean = pair_gap_reference(params, params.s, adiabatic=False)
+        assert gap == expected_gap
+        assert mean == expected_mean
