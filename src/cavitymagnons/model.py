@@ -65,10 +65,6 @@ class SystemParams:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
     @property
-    def symmetric_couplings(self) -> bool:
-        return self.g1 == self.g2
-
-    @property
     def induced_rate(self) -> float:
         """Cavity-mediated collective rate g1*g2/kappa."""
         return self.g1 * self.g2 / self.kappa
@@ -221,8 +217,9 @@ def build_adiabatic_model(params: SystemParams, s=None) -> AdiabaticModel:
     build_full_hamiltonian.
     """
     p = params
-    gt1 = p.gamma1 + p.g1 ** 2 / p.kappa
-    gt2 = p.gamma2 + p.g2 ** 2 / p.kappa
+    # g * g overflows to inf where the float g ** 2 raises OverflowError.
+    gt1 = p.gamma1 + p.g1 * p.g1 / p.kappa
+    gt2 = p.gamma2 + p.g2 * p.g2 / p.kappa
     rate = p.g1 * p.g2 / p.kappa
     at = p.s if s is None else 0.0
     matrix = np.array(

@@ -16,11 +16,11 @@ alongside companion-matrix and closed-form oracles.  Branch tracking scores
 the k! assignments between consecutive sweep points in fixed-size blocks of
 array operations.
 
-The exceptional-point search is a golden-section minimization of the gap of
-the magnon-like pair.  It builds H(s=0) once per search and evaluates each
-probe s on Python scalars: one LAPACK eigvals call on H(s=0) + s*diag(0, 1, -1)
-for the full model, the closed-form 2x2 pair for the reduced one.  Each probe
-gives the same bits as building and solving H(s) on its own.
+An exceptional point is a double eigenvalue, so the search takes the lowest
+real root in its bracket of the discriminant of the characteristic polynomial
+in s (a closed-form quadratic for the reduced two-mode model, numpy.roots of a
+degree-6 polynomial for the full one) whose magnon-like pair gap passes
+EP_GAP_TOLERANCE.  There is no iterative search.
 """
 
 from __future__ import annotations
@@ -28,25 +28,20 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
-    _FULL_SPLITTING,
     AdiabaticModel,
     SystemParams,
     build_adiabatic_model,
     build_full_hamiltonian,
 )
 
-# A pair of eigenvalues closer than this (in kappa units) counts as coalesced.
+# A pair of eigenvalues closer than this (in kappa units) counts as coalesced,
+# and a discriminant root this close to the real axis (in kappa units) counts as real.
 EP_GAP_TOLERANCE = 1e-6
-# Bracket refinement width for the exceptional-point search, in kappa units.
-# The gap rises as sqrt(|s - s_ep|) away from a coalescence, so reaching a
-# 1e-6 gap requires localizing s far more tightly than 1e-6.
-EP_SEARCH_XATOL = 1e-13
 # Sweep steps that track_branches scores per pass; bounds its (block, k!, k!)
 # cost tensors instead of holding one for the whole sweep.
 TRACK_BLOCK_STEPS = 512
@@ -105,7 +100,7 @@ class EigenBranchSet:
 class ExceptionalPoint:
     """Location of an eigenvalue coalescence along the s axis.
 
-    location         : s value minimizing the branch gap
+    location         : real part of the discriminant root where the pair meets
     degenerate_value : the (nearly) common eigenvalue there
     gap_at_location  : residual |lambda_plus - lambda_minus|
     """
@@ -260,7 +255,10 @@ def sweep_eigenvalues(
     if not np.all(np.isfinite(s_values)):
         raise ValueError(f"sweep points must be finite, got range [{s_min}, {s_max}]")
     if adiabatic:
-        raw = np.linalg.eigvals(build_adiabatic_model(params, s=s_values).matrix)
+        raw = build_adiabatic_model(params, s=s_values).matrix  # replaced by its eigenvalues
+        if not np.isfinite(raw).all():
+            raise ValueError("reduced-model matrix is not finite: gamma + g**2/kappa or g1*g2/kappa overflows")
+        raw = np.linalg.eigvals(raw)
     else:
         raw = eigenvalues_3x3(build_full_hamiltonian(params, s=s_values))
     tracked, ambiguous = track_branches(raw)
@@ -270,65 +268,63 @@ def sweep_eigenvalues(
     return EigenBranchSet(sweep_values=s_values, branches=tracked, ambiguous_spans=spans)
 
 
-def _golden_section_min(func, a: float, b: float, xatol: float) -> float:
-    """Golden-section minimum of a unimodal scalar function on [a, b].
+def _magnon_pair(params: SystemParams, s: float, adiabatic: bool) -> tuple[float, complex]:
+    """Gap |lambda+ - lambda-| and mean of the magnon-like eigenvalue pair at s.
 
-    Uses an absolute interval tolerance: unlike smooth-minimum stopping rules
-    (which give up at sqrt(eps)*|x| resolution) this keeps shrinking the
-    bracket, which matters at a square-root cusp where the function still
-    varies strongly at tiny scales.
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = func(x1), func(x2)
-    while b - a > xatol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = func(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = func(x2)
-    return 0.5 * (a + b)
-
-
-def _pair_gap_function(params: SystemParams, adiabatic: bool) -> Callable[[float], tuple[float, complex]]:
-    """Map s -> (gap, mean) of the magnon-like eigenvalue pair, built once per search.
-
-    H(s) is summed from H(s=0) as the stacked builders sum it, so each
-    evaluation has the bits of building and solving H(s) on its own.  The
-    reduced pair is in closed form: exact through a coalescence, where
-    iterative eigensolvers leave sqrt(eps)-size splittings on a defective matrix.
+    Closed form for the reduced pair, exact through a coalescence; the full
+    model drops the broadest LAPACK eigenvalue (the first one on ties).
     """
     if adiabatic:
-        (a00, a01), (a10, a11) = build_adiabatic_model(params, s=0.0).matrix.tolist()
-        mean = (a00 + a11) / 2.0  # the trace does not depend on s
-        coupling = a01 * a10
-
-        def gap(s: float) -> tuple[float, complex]:
-            half = ((a00 + s) - (a11 - s)) / 2.0
-            radical = cmath.sqrt(half * half + coupling)
-            upper, lower = mean + radical, mean - radical
-            return abs(upper - lower), (upper + lower) / 2
-
-        return gap
-
-    h0 = build_full_hamiltonian(params, s=0.0)
-
-    def gap(s: float) -> tuple[float, complex]:
-        a, b, c = np.linalg.eigvals(h0 + s * _FULL_SPLITTING).tolist()
-        # In the bad-cavity regime the cavity-like eigenvalue is by far the
-        # broadest; drop it (the first one on ties, as argmin does) and keep
-        # the magnon-like pair.
+        (a00, a01), (a10, a11) = build_adiabatic_model(params, s=s).matrix.tolist()
+        mean, half = (a00 + a11) / 2.0, (a00 - a11) / 2.0
+        radical = cmath.sqrt(half * half + a01 * a10)
+        a, b = mean + radical, mean - radical
+    else:
+        a, b, c = eigenvalues_3x3(build_full_hamiltonian(params, s=s)).tolist()
         if a.imag <= b.imag and a.imag <= c.imag:
             a = c
         elif b.imag <= c.imag:
             b = c
-        return abs(a - b), (a + b) / 2
+    try:
+        gap = abs(a - b)
+    except OverflowError:  # a finite difference whose modulus exceeds the float range
+        gap = math.inf
+    return gap, (a + b) / 2
 
-    return gap
+
+def _discriminant_roots(params: SystemParams, adiabatic: bool) -> np.ndarray:
+    """Roots in s of the discriminant of det(lambda I - H(s)), where two eigenvalues meet.
+
+    The reduced roots are (a11 - a00)/2 +/- sqrt(-a01*a10) for H(s) = H(0) +
+    s*diag(1, -1).  The full H(s) = H(0) + s*diag(0, 1, -1), less a third of
+    its trace, has the cubic lambda^3 + c lambda + d with c, d quadratic in s,
+    so the discriminant -4c^3 - 27d^2 has degree 6 and leading coefficient 4.
+    Empty when the coefficients are not finite (g^2/kappa overflows).
+    """
+    if adiabatic:
+        (a00, a01), (a10, a11) = build_adiabatic_model(params, s=0.0).matrix.tolist()
+        centre, half_width = (a11 - a00) / 2.0, cmath.sqrt(-a01 * a10)
+        roots = np.array([centre - half_width, centre + half_width])
+        return roots if np.isfinite(roots).all() else roots[:0]
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = build_full_hamiltonian(params, s=0.0).tolist()
+    # Without the shift the common damping cancels in 18bcd - 4b^3 d + b^2 c^2 - ...
+    shift = (h00 + h11 + h22) / 3.0
+    h00, h11, h22 = h00 - shift, h11 - shift, h22 - shift
+    # Coefficients in s, highest power first.
+    c = np.array([-1.0, h22 - h11, h00 * h11 + h00 * h22 + h11 * h22 - h01 * h10 - h02 * h20 - h12 * h21])
+    det0 = h00 * (h11 * h22 - h12 * h21) - h01 * (h10 * h22 - h12 * h20) + h02 * (h10 * h21 - h11 * h20)
+    d = np.array([h00, h02 * h20 - h01 * h10 - h00 * (h22 - h11), -det0])
+    # Overflow leaves non-finite coefficients or steps, which are checked.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disc = -4.0 * np.convolve(np.convolve(c, c), c)
+        disc[2:] -= 27.0 * np.convolve(d, d)
+        if not np.isfinite(disc).all():
+            return disc[:0]
+        roots = np.roots(disc)
+        # One Newton step gives a small root the relative accuracy that the gap
+        # test at a square-root cusp needs; a double root has no finite step.
+        polished = roots - np.polyval(disc, roots) / np.polyval(np.polyder(disc), roots)
+    return np.where(np.isfinite(polished), polished, roots)
 
 
 def find_exceptional_point(
@@ -339,37 +335,36 @@ def find_exceptional_point(
 ) -> ExceptionalPoint:
     """Locate an eigenvalue coalescence of the magnon-like pair in [s_min, s_max].
 
-    Minimizes the pair gap |lambda+ - lambda-| by golden-section search,
-    refined to EP_SEARCH_XATOL*kappa in s.  By default the search runs on the
-    reduced two-mode model, whose coalescence sits exactly at s = g1*g2/kappa
-    for equal dressed dampings; model="full" searches the three-mode spectrum
-    instead (its coalescence is shifted upward by O(g^2/kappa^2) relative
-    corrections).
+    An exceptional point is a double eigenvalue, so a root in s of the
+    discriminant of the characteristic polynomial: at s = +/- g1*g2/kappa for
+    the default reduced model with equal dressed dampings, shifted upward by
+    O(g^2/kappa^2) relative corrections for model="full".  The result is the
+    lowest root in the bracket with |Im s| <= EP_GAP_TOLERANCE*kappa at whose
+    real part (the location) the pair's gap is at most EP_GAP_TOLERANCE*kappa.
 
-    The matrix is built once per search; each of the ~60 gap evaluations is
-    then one LAPACK eigvals call on H(s=0) + s*diag(0, 1, -1) (full model) or
-    the closed-form 2x2 pair on Python complex scalars (reduced model).
-
-    Raises ValueError for a non-finite or empty bracket, and
-    ExceptionalPointNotFound when the residual gap at the minimum exceeds
-    EP_GAP_TOLERANCE*kappa or is not a number.
+    Raises ValueError for a non-finite or empty bracket or an unknown model,
+    and ExceptionalPointNotFound when no root qualifies, naming the root
+    nearest the bracket (off the real axis when the dressed dampings differ).
     """
     if model not in ("adiabatic", "full"):
         raise ValueError(f"model must be 'adiabatic' or 'full', got {model!r}")
-    # A finite bracket whose width overflows would put infinite probe points
-    # into H(s), so the width is checked too.
-    if not math.isfinite(float(s_max) - float(s_min)):
+    lo, hi = float(s_min), float(s_max)
+    if not math.isfinite(hi - lo):
         raise ValueError(f"search bracket must be finite, got [{s_min}, {s_max}]")
-    if s_max <= s_min:
+    if hi <= lo:
         raise ValueError(f"empty search bracket [{s_min}, {s_max}]")
-    gap_and_mean = _pair_gap_function(params, model == "adiabatic")
-    location = _golden_section_min(
-        lambda s: gap_and_mean(s)[0], float(s_min), float(s_max), EP_SEARCH_XATOL * params.kappa
+    adiabatic = model == "adiabatic"
+    tol = EP_GAP_TOLERANCE * params.kappa
+    roots = _discriminant_roots(params, adiabatic).tolist()
+    for location in sorted(r.real for r in roots if abs(r.imag) <= tol and lo <= r.real <= hi):
+        gap, value = _magnon_pair(params, location, adiabatic)
+        if gap <= tol:
+            return ExceptionalPoint(location=location, degenerate_value=value, gap_at_location=gap)
+    at, found = lo, "discriminant coefficients are not finite"
+    if roots:
+        nearest = min(roots, key=lambda r: abs(r - min(max(r.real, lo), hi)))
+        at, found = min(max(nearest.real, lo), hi), f"nearest discriminant root s={nearest:.6g}"
+    gap = _magnon_pair(params, at, adiabatic)[0]
+    raise ExceptionalPointNotFound(
+        f"no coalescence in [{s_min}, {s_max}]: gap {gap:.3e} at s={at:.6g} exceeds {tol:.1e}; {found}"
     )
-    gap, value = gap_and_mean(location)
-    if not gap <= EP_GAP_TOLERANCE * params.kappa:
-        raise ExceptionalPointNotFound(
-            f"no coalescence in [{s_min}, {s_max}]: minimum gap {gap:.3e} at s={location:.6g} "
-            f"exceeds {EP_GAP_TOLERANCE * params.kappa:.1e}"
-        )
-    return ExceptionalPoint(location=location, degenerate_value=value, gap_at_location=gap)

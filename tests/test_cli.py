@@ -2,6 +2,7 @@
 
 import json
 import math
+import resource
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from cavitymagnons.cli import (
+    MAX_SWEEP_POINTS,
     ConfigError,
     RunConfig,
     main,
@@ -168,6 +170,13 @@ class TestParseConfig:
         config = parse_config("[run]\nmode = dynamics\n[drive]\namplitude = 1\n"
                               f"[dynamics]\nt_end = {MAX_STEPS // 10}\ndt = 0.1\n")
         assert round(config.t_end / config.dt) == MAX_STEPS
+
+    def test_sweep_points_budget(self):
+        text = "[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = {}\n"
+        assert parse_config(text.format(MAX_SWEEP_POINTS)).sweep_points == MAX_SWEEP_POINTS
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.format(MAX_SWEEP_POINTS + 1))
+        assert err.value.field == "sweep.points"
 
     def test_parse_error_reports_line(self):
         with pytest.raises(ConfigError) as err:
@@ -427,6 +436,47 @@ class TestMainExitCodes:
         )
         assert main(["--config", str(config_path)]) == 2
         assert "no coalescence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,diagnostic", [
+        # |s| ~ 1000 kappa, where a bracket cannot shrink below one ulp.
+        ("[run]\nmode = ep-find\n[sweep]\nmin = 1000\nmax = 1001\npoints = 2\n[ep]\nmodel = full\n",
+         "numerical error: no coalescence in [1000.0, 1001.0]"),
+        # g**2 overflows a float.
+        ("[run]\nmode = ep-find\n[system]\ng1 = 1e200\ng2 = 1e200\n"
+         "[sweep]\nmin = 0.02\nmax = 0.06\npoints = 2\n[ep]\nmodel = adiabatic\n",
+         "numerical error: no coalescence in [0.02, 0.06]: gap nan"),
+        ("[run]\nmode = ep-find\n[system]\ng1 = 1e200\ng2 = 1e200\n"
+         "[sweep]\nmin = 0.02\nmax = 0.06\npoints = 2\n[ep]\nmodel = full\n",
+         "numerical error: no coalescence in [0.02, 0.06]: gap 1.414e+200"),
+        ("[run]\nmode = adiabatic-compare\n[system]\ng1 = 1e200\ng2 = 1e200\n"
+         "[sweep]\nmin = -0.1\nmax = 0.1\npoints = 11\n",
+         "numerical error: reduced-model matrix is not finite"),
+        ("[run]\nmode = dynamics\n[system]\ng1 = 1e200\ng2 = 1e200\n[drive]\namplitude = 1\n",
+         "config error: dynamics.t_end: no default"),
+        # About 7.5 GiB of sweep points alone.
+        ("[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 1000000000\n",
+         "config error: sweep.points"),
+    ], ids=["ep-hang-bracket", "ep-adiabatic-1e200", "ep-full-1e200", "adiabatic-compare-1e200",
+            "dynamics-1e200", "points-1e9"])
+    def test_extreme_inputs_end_in_one_diagnostic(self, tmp_path, body, diagnostic):
+        # A fresh process with a time limit and a 2 GB address space, so a
+        # hang or an oversized allocation fails the test instead of the host.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(body + f"[output]\npath = {tmp_path / 'out.csv'}\nformat = both\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cavitymagnons", "--config", str(config_path)],
+            capture_output=True, text=True, timeout=10, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == (1 if diagnostic.startswith("config error: ") else 2)
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.endswith("\n")
+        assert proc.stderr.startswith(diagnostic)
+        assert proc.stdout == ""
+        assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "out.json").exists()
 
     def test_console_entry_point(self, tmp_path):
         config_path = tmp_path / "run.cfg"

@@ -3,6 +3,8 @@
 import cmath
 import itertools
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -12,12 +14,11 @@ from numpy.testing import assert_allclose
 
 from cavitymagnons.model import SystemParams, build_adiabatic_model, build_full_hamiltonian
 from cavitymagnons.spectra import (
-    EP_SEARCH_XATOL,
+    EP_GAP_TOLERANCE,
     TRACK_BLOCK_STEPS,
     ExceptionalPoint,
     ExceptionalPointNotFound,
-    _golden_section_min,
-    _pair_gap_function,
+    _magnon_pair,
     adiabatic_eigenvalues,
     closed_form_symmetric,
     eigenvalues_3x3,
@@ -55,11 +56,7 @@ def track_branches_reference(raw, ambiguity_tol=1e-9):
 
 
 def pair_gap_reference(params, s, adiabatic):
-    """Gap and mean of the magnon-like pair, building and solving H(s) at each s.
-
-    The per-evaluation path that the exceptional-point search replaced with
-    one build per search.
-    """
+    """Gap and mean of the magnon-like pair, building and solving H(s) at each s."""
     if adiabatic:
         m = build_adiabatic_model(params, s=s).matrix
         mean = (m[0, 0] + m[1, 1]) / 2.0
@@ -71,12 +68,47 @@ def pair_gap_reference(params, s, adiabatic):
     return abs(values[0] - values[1]), complex(values.mean())
 
 
+# Bracket width at which the reference search stops, in kappa units.  The gap
+# rises as sqrt(|s - s_ep|) away from a coalescence, so reaching a 1e-6 gap
+# requires localizing s far more tightly than 1e-6.
+REFERENCE_SEARCH_XATOL = 1e-13
+
+
+def golden_section_min(func, a, b, xatol):
+    """Golden-section minimum of a unimodal scalar function on [a, b].
+
+    Uses an absolute interval tolerance: unlike smooth-minimum stopping rules
+    (which give up at sqrt(eps)*|x| resolution) this keeps shrinking the
+    bracket, which matters at a square-root cusp where the function still
+    varies strongly at tiny scales.  It never returns when xatol is below the
+    float spacing of the bracket.
+    """
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - inv_phi * (b - a)
+    x2 = a + inv_phi * (b - a)
+    f1, f2 = func(x1), func(x2)
+    while b - a > xatol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv_phi * (b - a)
+            f1 = func(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv_phi * (b - a)
+            f2 = func(x2)
+    return 0.5 * (a + b)
+
+
 def find_exceptional_point_reference(params, s_min, s_max, model):
-    """Golden-section search over pair_gap_reference, without the tolerance check."""
+    """Golden-section minimum of pair_gap_reference, without the tolerance check.
+
+    The search that the discriminant roots replaced; with one coalescence in
+    the bracket it lands on it.
+    """
     adiabatic = model == "adiabatic"
-    location = _golden_section_min(
+    location = golden_section_min(
         lambda s: pair_gap_reference(params, s, adiabatic)[0],
-        float(s_min), float(s_max), EP_SEARCH_XATOL * params.kappa,
+        float(s_min), float(s_max), REFERENCE_SEARCH_XATOL * params.kappa,
     )
     gap, value = pair_gap_reference(params, location, adiabatic)
     return ExceptionalPoint(location=location, degenerate_value=value, gap_at_location=gap)
@@ -465,25 +497,68 @@ class TestFindExceptionalPoint:
             find_exceptional_point(p, 0.02, 0.06, model="adiabatic")
 
     @pytest.mark.parametrize("model", ["adiabatic", "full"])
+    def test_overflowing_discriminant_is_not_a_coalescence(self, model):
+        # g^2 overflows: no roots to take, and never a LinAlgError from them.
+        p = SystemParams(g1=1e200, g2=1e200)
+        with pytest.raises(ExceptionalPointNotFound, match="coefficients are not finite"):
+            find_exceptional_point(p, 0.02, 0.06, model=model)
+
+    @pytest.mark.parametrize("model", ["adiabatic", "full"])
     @pytest.mark.parametrize("params", [
         SystemParams(kappa=1, gamma1=0, gamma2=0, g1=0.2, g2=0.2),
         SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0.2, g2=0.2),
+        SystemParams(kappa=2, gamma1=0.05, gamma2=0.05, g1=0.6, g2=0.6),
+        # Near the end of the bad-cavity regime, where the pair's gap rises
+        # steeply away from the coalescence.
+        SystemParams(kappa=1.2881688143730812, gamma1=0.015087734875737448,
+                     gamma2=0.015087734875737448, g1=0.4889791143864091, g2=0.4889791143864091),
     ])
     def test_matches_search_over_per_point_solves(self, params, model):
-        expected = find_exceptional_point_reference(params, 0.02, 0.06, model)
-        assert find_exceptional_point(params, 0.02, 0.06, model=model) == expected
+        bracket = (0.5 * params.induced_rate, 1.5 * params.induced_rate)
+        expected = find_exceptional_point_reference(params, *bracket, model)
+        point = find_exceptional_point(params, *bracket, model=model)
+        assert abs(point.location - expected.location) <= 1e-12 * params.kappa
+        assert abs(point.degenerate_value - expected.degenerate_value) <= 1e-12 * params.kappa
+        assert point.gap_at_location <= EP_GAP_TOLERANCE * params.kappa
+
+    @pytest.mark.parametrize("model", ["adiabatic", "full"])
+    def test_far_bracket_returns_at_once(self, model):
+        # |s| ~ 1000 kappa: a bracket-shrinking search can never get its width
+        # below one ulp (~1e-13) there and so never stopped on the full model.
+        start = time.perf_counter()
+        with pytest.raises(ExceptionalPointNotFound, match=r"no coalescence in \[1000, 1001\]"):
+            find_exceptional_point(SystemParams(), 1000, 1001, model=model)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("model,root", [
+        # Closed form (a11 - a00)/2 +/- sqrt(-a01*a10): the imaginary part is
+        # half the difference of the dressed dampings 0.06 and 0.0725.
+        ("adiabatic", 0.05 - 0.00625j),
+        ("full", 0.0538674500 - 0.0071447j),
+    ])
+    def test_not_found_names_the_off_axis_root(self, model, root):
+        p = SystemParams(gamma1=0.02, g2=0.25)
+        with pytest.raises(ExceptionalPointNotFound) as err:
+            find_exceptional_point(p, 0.02, 0.06, model=model)
+        named = complex(re.search(r"nearest discriminant root s=(\S+)$", str(err.value)).group(1))
+        assert abs(named - root) <= 1e-6
+
+    @pytest.mark.parametrize("model", ["adiabatic", "full"])
+    def test_bracket_with_both_coalescences_gives_the_lower(self, model):
+        point = find_exceptional_point(SystemParams(), -0.06, 0.06, model=model)
+        assert point.location < 0
+        assert point == find_exceptional_point(SystemParams(), -0.06, 0.0, model=model)
 
 
 class TestPairGapFunction:
-    """The per-search gap function against building and solving H(s) at each s."""
+    """_magnon_pair's gap and mean against building and solving H(s) at each s."""
 
     @given(params_strategy, splittings, st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_matches_per_point_solve_bitwise(self, params, s, adiabatic):
-        gap_and_mean = _pair_gap_function(params, adiabatic)
         # Also probe the point's own splitting and the reduced EP location.
         for at in (s, params.s, params.induced_rate, -params.induced_rate):
-            gap, mean = gap_and_mean(at)
+            gap, mean = _magnon_pair(params, at, adiabatic)
             expected_gap, expected_mean = pair_gap_reference(params, at, adiabatic)
             assert gap == expected_gap
             assert mean == expected_mean
@@ -500,7 +575,7 @@ class TestPairGapFunction:
     def test_drops_the_first_of_tied_broadest_eigenvalues(self, params, tied):
         imag = eigenvalues_3x3(build_full_hamiltonian(params)).imag
         assert tuple(np.flatnonzero(imag == imag.min())) == tied
-        gap, mean = _pair_gap_function(params, adiabatic=False)(params.s)
+        gap, mean = _magnon_pair(params, params.s, adiabatic=False)
         expected_gap, expected_mean = pair_gap_reference(params, params.s, adiabatic=False)
         assert gap == expected_gap
         assert mean == expected_mean
