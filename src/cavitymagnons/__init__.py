@@ -4,32 +4,23 @@ from .model import (
     AdiabaticModel,
     DriveParams,
     EffectiveHamiltonian,
-    PolaritonBasis,
     SystemParams,
     build_adiabatic_model,
     build_driven_system,
     build_full_hamiltonian,
     drive_amplitude_from_power,
-    lindblad_mean_field_drift,
-    polariton_basis,
-    polariton_transform,
 )
 from .spectra import (
     EigenBranchSet,
     ExceptionalPoint,
     ExceptionalPointNotFound,
-    adiabatic_eigenvalues,
-    closed_form_symmetric,
     eigenvalues_3x3,
     find_exceptional_point,
     sweep_eigenvalues,
-    weak_coupling_approx,
 )
 from .response import (
     ResponsePoint,
     SpectrumSweep,
-    analytic_magnon_response,
-    dark_mode_amplitude,
     reflection_transmission,
     resonance_peak_height,
     spincurrent_spectrum,
@@ -53,29 +44,21 @@ __all__ = [
     "EigenBranchSet",
     "ExceptionalPoint",
     "ExceptionalPointNotFound",
-    "PolaritonBasis",
     "ResponsePoint",
     "RunConfig",
     "SpectrumSweep",
     "SystemParams",
     "Trajectory",
-    "adiabatic_eigenvalues",
     "adiabatic_validity_report",
-    "analytic_magnon_response",
     "build_adiabatic_model",
     "build_driven_system",
     "build_full_hamiltonian",
-    "closed_form_symmetric",
-    "dark_mode_amplitude",
     "drive_amplitude_from_power",
     "eigenvalues_3x3",
     "find_exceptional_point",
     "integrate_adiabatic",
     "integrate_full",
-    "lindblad_mean_field_drift",
     "parse_config",
-    "polariton_basis",
-    "polariton_transform",
     "propagate_exact",
     "reflection_transmission",
     "resonance_peak_height",
@@ -83,5 +66,4 @@ __all__ = [
     "spincurrent_spectrum",
     "steady_state",
     "sweep_eigenvalues",
-    "weak_coupling_approx",
 ]

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import math
 import sys
@@ -212,7 +211,8 @@ def parse_config(text: str) -> RunConfig:
         try:
             amplitude = drive_amplitude_from_power(drive_power, drive_frequency)
         except ValueError as exc:
-            raise ConfigError("drive.power", str(exc)) from None
+            field = "drive.frequency" if str(exc).startswith("drive_frequency") else "drive.power"
+            raise ConfigError(field, str(exc)) from None
         drive = DriveParams(delta=0.0, amplitude=amplitude)
     if mode in DRIVE_REQUIRED and drive is None:
         raise ConfigError("drive", f"required for mode {mode}")
@@ -228,8 +228,8 @@ def parse_config(text: str) -> RunConfig:
             drive = DriveParams(delta=_parse_float("dynamics", "delta", delta_raw),
                                 amplitude=drive.amplitude)
         if t_end is None:
-            gt_min = min(system.gamma1 + system.g1 * system.g1 / system.kappa,
-                         system.gamma2 + system.g2 * system.g2 / system.kappa)
+            reduced = build_adiabatic_model(system)
+            gt_min = min(reduced.gamma_tilde1, reduced.gamma_tilde2)
             if math.isinf(gt_min):
                 raise ConfigError("dynamics.t_end", "no default: gamma + g**2/kappa overflows; set t_end")
             t_end = 50.0 / gt_min if gt_min > 0 else 50.0 / system.kappa
@@ -497,14 +497,9 @@ _RUNNERS = {
 
 def render_csv(headers: list[str], columns: list) -> str:
     """CSV with a schema comment, header row, LF endings, 17 significant digits."""
-    buffer = io.StringIO()
-    buffer.write(f"# schema={CSV_SCHEMA}\n")
-    buffer.write(",".join(headers) + "\n")
-    arrays = [np.asarray(c) for c in columns]
-    n_rows = arrays[0].size if arrays else 0
-    for i in range(n_rows):
-        buffer.write(",".join(_fmt(col[i]) for col in arrays) + "\n")
-    return buffer.getvalue()
+    cells = [[format(value, ".17g") for value in np.asarray(c, dtype=float).tolist()] for c in columns]
+    rows = "".join(",".join(row) + "\n" for row in zip(*cells))
+    return f"# schema={CSV_SCHEMA}\n" + ",".join(headers) + "\n" + rows
 
 
 def _output_paths(path: str) -> tuple[str, str]:
@@ -627,11 +622,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except spectra.ExceptionalPointNotFound as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        # e.g. an integrator step rejected by the stability bound, or non-finite output
+        # e.g. no coalescence in the EP bracket, an integrator step rejected by
+        # the stability bound, or non-finite output
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,6 @@ import numpy as np
 # CODATA reduced Planck constant, J*s. Pinned for reproducible SI conversion.
 HBAR = 1.0545718e-34
 
-_SQRT2 = math.sqrt(2.0)
 _EYE3 = np.eye(3)
 # d/ds of the full and of the reduced matrix: the magnons sit at +s and -s.
 _FULL_SPLITTING = np.diag([0.0, 1.0, -1.0])
@@ -121,34 +120,6 @@ class AdiabaticModel:
         self.matrix.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class PolaritonBasis:
-    """Unitary map from (a, m1, m2) to the normal modes (dark, upper, lower).
-
-    Row order is (A, B, C) with A = (m1 - m2)/sqrt(2) the dark combination,
-    B = (a + (m1 + m2)/sqrt(2))/sqrt(2) and C = (a - (m1 + m2)/sqrt(2))/sqrt(2)
-    the two bright, counter-oscillating combinations.
-    """
-
-    transform: np.ndarray
-
-    def __post_init__(self):
-        self.transform.setflags(write=False)
-
-
-def polariton_basis() -> PolaritonBasis:
-    """Return the symmetric-coupling polariton basis as a unitary matrix."""
-    u = np.array(
-        [
-            [0.0, 1.0 / _SQRT2, -1.0 / _SQRT2],
-            [1.0 / _SQRT2, 0.5, 0.5],
-            [1.0 / _SQRT2, -0.5, -0.5],
-        ],
-        dtype=complex,
-    )
-    return PolaritonBasis(transform=u)
-
-
 def build_full_hamiltonian(params: SystemParams, s=None) -> np.ndarray:
     """Build the 3x3 non-Hermitian coupled-mode matrix in mode order (a, m1, m2).
 
@@ -190,7 +161,10 @@ def build_driven_system(params: SystemParams, drive: DriveParams) -> EffectiveHa
 def drive_amplitude_from_power(power: float, drive_frequency: float) -> float:
     """Convert drive power (W) and angular frequency (rad/s) to an amplitude.
 
-    Returns sqrt(P / (hbar * omega_d)) in units of sqrt(photons/s).
+    Returns sqrt(P / (hbar * omega_d)) in units of sqrt(photons/s).  Raises
+    ValueError, naming the argument at fault first, for a negative power, a
+    non-positive frequency, a frequency whose photon energy underflows to 0,
+    or an amplitude that overflows.
     """
     power = _require_finite("power", power)
     drive_frequency = _require_finite("drive_frequency", drive_frequency)
@@ -198,7 +172,13 @@ def drive_amplitude_from_power(power: float, drive_frequency: float) -> float:
         raise ValueError(f"power must be non-negative, got {power}")
     if drive_frequency <= 0:
         raise ValueError(f"drive_frequency must be positive, got {drive_frequency}")
-    return math.sqrt(power / (HBAR * drive_frequency))
+    photon_energy = HBAR * drive_frequency
+    if photon_energy == 0:
+        raise ValueError(f"drive_frequency {drive_frequency!r} is too small: hbar * drive_frequency underflows to 0")
+    amplitude = math.sqrt(power / photon_energy)
+    if not math.isfinite(amplitude):
+        raise ValueError(f"power {power!r} is too large for drive_frequency {drive_frequency!r}: the amplitude overflows")
+    return amplitude
 
 
 def build_adiabatic_model(params: SystemParams, s=None) -> AdiabaticModel:
@@ -232,81 +212,3 @@ def build_adiabatic_model(params: SystemParams, s=None) -> AdiabaticModel:
     if s is not None:
         matrix = matrix + np.asarray(s, dtype=float)[..., None, None] * _ADIABATIC_SPLITTING
     return AdiabaticModel(matrix=matrix, induced_rate=rate, gamma_tilde1=gt1, gamma_tilde2=gt2)
-
-
-def polariton_transform(params: SystemParams) -> np.ndarray:
-    """Rotate the undamped, symmetric-coupling system into the polariton basis.
-
-    Uses only the Hermitian part (damping ignored) with g1 = g2 = g.  The
-    result is diag(0, sqrt(2)g, -sqrt(2)g) plus s/sqrt(2) couplings that feed
-    the dark mode A from the bright modes B and C once s != 0:
-
-        [[ 0,        s/sqrt2,  -s/sqrt2 ],
-         [ s/sqrt2,  sqrt2*g,   0       ],
-         [-s/sqrt2,  0,        -sqrt2*g ]]
-
-    Raises ValueError for asymmetric couplings, where this basis does not
-    diagonalize the s = 0 system.
-    """
-    if params.g1 != params.g2:
-        raise ValueError("polariton basis requires symmetric couplings g1 == g2")
-    g, s = params.g1, params.s
-    hermitian = np.array(
-        [
-            [0.0, g, g],
-            [g, s, 0.0],
-            [g, 0.0, -s],
-        ],
-        dtype=complex,
-    )
-    u = polariton_basis().transform
-    return u @ hermitian @ u.conj().T
-
-
-def lindblad_mean_field_drift(hamiltonian_diag, dissipators) -> np.ndarray:
-    """Mean-field drift matrix of a two-mode Lindblad master equation.
-
-    For H = delta1*m1'm1 + delta2*m2'm2 and collapse channels
-    sigma_k = c_k . (m1, m2) entering as rate_k * L(sigma_k) with
-    L(sigma) rho = 2 sigma rho sigma' - sigma'sigma rho - rho sigma'sigma,
-    the first moments obey d<Y>/dt = M <Y> with
-
-        M = -i*diag(delta1, delta2) - sum_k rate_k * outer(conj(c_k), c_k).
-
-    With the three channels gamma1*L(m1), gamma2*L(m2) and
-    2*(g1 g2/kappa)*L((m1+m2)/sqrt(2)) this reproduces exactly
-    -i * build_adiabatic_model(...).matrix for delta = (+s, -s): a shared
-    lossy reservoir generates the same dissipative coupling as the
-    adiabatically eliminated cavity.
-    """
-    d1, d2 = hamiltonian_diag
-    drift = -1j * np.diag([complex(d1), complex(d2)])
-    for rate, coeff in dissipators:
-        rate = float(rate)
-        if rate < 0:
-            raise ValueError(f"dissipator rate must be non-negative, got {rate}")
-        c = np.asarray(coeff, dtype=complex)
-        if c.shape != (2,):
-            raise ValueError(f"dissipator coefficient vector must have length 2, got shape {c.shape}")
-        drift = drift - rate * np.outer(c.conj(), c)
-    return drift
-
-
-def coupling_strength_estimate(spin_count: float, cavity_frequency: float, mode_volume: float) -> float:
-    """Documented estimate of the collective magnon-photon coupling (rad/s).
-
-    g = (sqrt(5)/2) * gamma_e * sqrt(N) * B_vac with gamma_e = 2pi * 28 GHz/T
-    and B_vac = sqrt(mu0 * hbar * omega_c / (2 V)) the vacuum magnetic field
-    of a cavity mode of angular frequency omega_c and volume V (SI form of
-    the Gaussian-convention sqrt(2 pi hbar omega_c / V)).  For a 1 mm YIG
-    sphere (N ~ 1e18 spins) in a centimeter-scale microwave cavity this lands
-    in the tens-of-MHz range.  This helper documents how a material-level
-    coupling arises; the simulation interface itself takes g directly in
-    kappa units.
-    """
-    if spin_count < 0 or mode_volume <= 0 or cavity_frequency <= 0:
-        raise ValueError("spin_count >= 0, cavity_frequency > 0 and mode_volume > 0 required")
-    gamma_e = 2 * math.pi * 28e9  # rad/s per tesla
-    mu0 = 4 * math.pi * 1e-7
-    b_vac = math.sqrt(mu0 * HBAR * cavity_frequency / (2.0 * mode_volume))
-    return (math.sqrt(5) / 2) * gamma_e * math.sqrt(spin_count) * b_vac

@@ -1,9 +1,9 @@
 """Driven steady states: spincurrent spectra, dark-mode amplitude, scattering.
 
 The single source of truth is the exact 3x3 linear solve of the drive-frame
-steady state (H - delta) X = -i F; every printed closed form (magnon response
-functions, central peak height, transmission/reflection) is implemented or
-checked against that solve rather than trusted on its own.
+steady state (H - delta) X = -i F.  The printed closed forms (magnon response
+functions, the symmetric response, zero-detuning transmission) live in
+closed_forms as test oracles and are checked against that solve.
 
 Observables per drive detuning: the steady-state amplitudes (a, m1, m2), the
 total spincurrent |m1|^2 + |m2|^2, the dark-mode amplitude (m1 - m2)/sqrt(2)
@@ -169,36 +169,6 @@ def steady_state(params: SystemParams, drive: DriveParams) -> ResponsePoint:
     return _response_point(drive.delta, a, m1, m2, t)
 
 
-def analytic_magnon_response(params: SystemParams, drive: DriveParams) -> tuple[complex, complex]:
-    """Closed-form magnon amplitudes, implemented exactly as printed.
-
-        m1 = -i sqrt(kappa) E g1 (s + delta + i gamma1) / D
-        m2 = +i sqrt(kappa) E g2 (s - delta - i gamma1) / D
-        D  = (delta + i kappa)(s - delta - i gamma1)(s + delta + i gamma2)
-             + g1^2 (s + delta + i gamma2) - g2^2 (s - delta - i gamma1)
-
-    Note the gamma1 in the m1 numerator: the exact cofactor carries gamma2
-    there, so for gamma1 != gamma2 this form deviates from the linear solve in
-    m1 (the m2 line and D itself agree with the exact expansion).  Tests
-    cross-check against steady_state for gamma1 == gamma2 only and surface the
-    asymmetric-damping discrepancy as a documented finding.
-    """
-    p, delta, amp = params, drive.delta, drive.amplitude
-    det = (
-        (delta + 1j * p.kappa)
-        * (p.s - delta - 1j * p.gamma1)
-        * (p.s + delta + 1j * p.gamma2)
-        + p.g1 ** 2 * (p.s + delta + 1j * p.gamma2)
-        - p.g2 ** 2 * (p.s - delta - 1j * p.gamma1)
-    )
-    if det == 0:
-        raise ZeroDivisionError("response determinant vanishes at this detuning")
-    root_kappa = math.sqrt(p.kappa)
-    m1 = -1j * root_kappa * amp * p.g1 * (p.s + delta + 1j * p.gamma1) / det
-    m2 = 1j * root_kappa * amp * p.g2 * (p.s - delta - 1j * p.gamma1) / det
-    return m1, m2
-
-
 def _local_maxima(values: np.ndarray) -> np.ndarray:
     """Indices of strict three-point local maxima."""
     inner = values[1:-1]
@@ -279,49 +249,3 @@ def reflection_transmission(params: SystemParams, drive: DriveParams) -> tuple[c
     """
     t = _transmission(params, _resolvent_columns(params, drive.delta))
     return t - 1.0, t
-
-
-def dark_mode_amplitude(params: SystemParams, drive: DriveParams) -> complex:
-    """Steady-state amplitude of the dark combination (m1 - m2)/sqrt(2).
-
-    Exactly zero when the magnons are degenerate (s = 0) and coupled and
-    damped symmetrically; any asymmetry in s, in the couplings or in the
-    dampings repopulates it.
-    """
-    return steady_state(params, drive).dark_amplitude
-
-
-def symmetric_response_closed_form(params: SystemParams, drive: DriveParams) -> complex:
-    """Common magnon amplitude for s = 0, kappa = gamma1 = gamma2, g1 = g2.
-
-        m = i sqrt(kappa) g E / ((delta + sqrt(2) g + i kappa)(delta - sqrt(2) g + i kappa))
-
-    The pole at the cavity-like eigenvalue cancels, which is why the central
-    spectral peak vanishes in the perfectly symmetric case.
-    """
-    p = params
-    if p.s != 0 or not (p.kappa == p.gamma1 == p.gamma2) or p.g1 != p.g2:
-        raise ValueError("closed form requires s == 0, kappa == gamma1 == gamma2, g1 == g2")
-    g, kappa = p.g1, p.kappa
-    split = _SQRT2 * g
-    return (
-        1j * math.sqrt(kappa) * g * drive.amplitude
-        / ((drive.delta + split + 1j * kappa) * (drive.delta - split + 1j * kappa))
-    )
-
-
-def zero_detuning_scattering_closed_form(params: SystemParams) -> tuple[complex, complex]:
-    """Closed-form (r, t) at delta = 0 for equal magnon dampings.
-
-        t = (s^2 + gamma^2) / (s^2 + gamma^2 + 2 gamma Gamma),  r = t - 1,
-
-    with Gamma = g^2/kappa.  For gamma -> 0 this tends to perfect
-    transparency; the window closes as gamma*Gamma grows against s^2.
-    """
-    p = params
-    if p.gamma1 != p.gamma2 or p.g1 != p.g2:
-        raise ValueError("closed form requires gamma1 == gamma2 and g1 == g2")
-    gamma = p.gamma1
-    big_gamma = p.g1 ** 2 / p.kappa
-    t = (p.s ** 2 + gamma ** 2) / (p.s ** 2 + gamma ** 2 + 2.0 * gamma * big_gamma)
-    return t - 1.0, complex(t)

@@ -32,12 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    AdiabaticModel,
-    SystemParams,
-    build_adiabatic_model,
-    build_full_hamiltonian,
-)
+from .model import SystemParams, build_adiabatic_model, build_full_hamiltonian
 
 # A pair of eigenvalues closer than this (in kappa units) counts as coalesced,
 # and a discriminant root this close to the real axis (in kappa units) counts as real.
@@ -124,62 +119,6 @@ def eigenvalues_3x3(matrix: np.ndarray) -> np.ndarray:
     if not np.isfinite(h).all():
         raise ValueError("matrix entries must be finite")
     return np.linalg.eigvals(h)
-
-
-def closed_form_symmetric(params: SystemParams) -> np.ndarray:
-    """Eigenvalues (lambda0, lambda+, lambda-) for kappa = gamma1 = gamma2, g1 = g2.
-
-    lambda0 = -i*kappa and lambda+- = -i*kappa +/- sqrt(s^2 + 2 g^2): all three
-    linewidths are identical and the real parts repel with minimum gap
-    2*sqrt(2)*g at s = 0.
-    """
-    p = params
-    if not (p.kappa == p.gamma1 == p.gamma2):
-        raise ValueError("closed form requires kappa == gamma1 == gamma2")
-    if p.g1 != p.g2:
-        raise ValueError("closed form requires g1 == g2")
-    split = math.sqrt(p.s ** 2 + 2.0 * p.g1 ** 2)
-    lam0 = -1j * p.kappa
-    return np.array([lam0, lam0 + split, lam0 - split], dtype=complex)
-
-
-def weak_coupling_approx(params: SystemParams) -> np.ndarray:
-    """Approximate eigenvalues (lambda0, lambda+, lambda-) for g, |s| << kappa, gamma ~ 0.
-
-    lambda0  = -i*kappa*(1 - 2 g^2/(s^2 + kappa^2))   (cavity-like)
-    lambda+- = -i*Gamma +/- i*sqrt(Gamma^2 - s^2)     (magnon-like), Gamma = g^2/kappa
-
-    Inside |s| < Gamma the magnon pair is purely imaginary with coinciding real
-    parts (level attraction) and coalesces at s = +/- Gamma; at s = 0 the
-    narrow branch lambda+ is exactly 0 and the broad one is -2i*Gamma.
-    Validity is the caller's concern; no parameter checks beyond symmetry.
-    """
-    p = params
-    if p.g1 != p.g2:
-        raise ValueError("weak-coupling form requires g1 == g2")
-    g, s, kappa = p.g1, p.s, p.kappa
-    big_gamma = g ** 2 / kappa
-    lam0 = -1j * kappa * (1.0 - 2.0 * g ** 2 / (s ** 2 + kappa ** 2))
-    radical = cmath.sqrt(complex(big_gamma ** 2 - s ** 2))
-    return np.array(
-        [lam0, -1j * big_gamma + 1j * radical, -1j * big_gamma - 1j * radical],
-        dtype=complex,
-    )
-
-
-def adiabatic_eigenvalues(model: AdiabaticModel) -> np.ndarray:
-    """Eigenvalues (lambda+, lambda-) of the reduced two-mode model, symmetric case.
-
-    lambda+- = -i*(gamma + g^2/kappa) +/- sqrt(s^2 - (g1 g2/kappa)^2).  The
-    radical is independent of gamma, so the phase-transition points sit at
-    s = +/- g1 g2/kappa regardless of the magnon damping.
-    """
-    if model.gamma_tilde1 != model.gamma_tilde2:
-        raise ValueError("closed-form adiabatic eigenvalues require equal dressed dampings")
-    s = model.matrix[0, 0].real
-    radical = cmath.sqrt(complex(s ** 2 - model.induced_rate ** 2))
-    common = -1j * model.gamma_tilde1
-    return np.array([common + radical, common - radical], dtype=complex)
 
 
 def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.ndarray, list[int]]:

@@ -16,6 +16,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cavitymagnons.closed_forms import (
+    adiabatic_eigenvalues,
+    closed_form_symmetric,
+    lindblad_mean_field_drift,
+    weak_coupling_approx,
+)
 from cavitymagnons.dynamics import (
     adiabatic_validity_report,
     integrate_full,
@@ -26,7 +32,6 @@ from cavitymagnons.model import (
     SystemParams,
     build_adiabatic_model,
     build_full_hamiltonian,
-    lindblad_mean_field_drift,
 )
 from cavitymagnons.response import (
     reflection_transmission,
@@ -34,14 +39,7 @@ from cavitymagnons.response import (
     spincurrent_spectrum,
     steady_state,
 )
-from cavitymagnons.spectra import (
-    adiabatic_eigenvalues,
-    closed_form_symmetric,
-    eigenvalues_3x3,
-    find_exceptional_point,
-    sweep_eigenvalues,
-    weak_coupling_approx,
-)
+from cavitymagnons.spectra import eigenvalues_3x3, find_exceptional_point, sweep_eigenvalues
 
 from conftest import best_match_errors
 

@@ -106,6 +106,8 @@ class TestParseConfig:
         ("[run]\nmode = eig-sweep\n[sweep]\nvariable = delta\nmin = -1\nmax = 1\npoints = 11\n", "sweep.variable"),
         ("[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n[junk]\nx = 1\n", "junk"),
         ("[run]\nmode = eig-sweep\nengine = warp\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n", "run.engine"),
+        ("[run]\nmode = dynamics\n[drive]\npower = 1e-3\nfrequency = -5\n", "drive.frequency"),
+        ("[run]\nmode = dynamics\n[drive]\npower = 1e-3\nfrequency = 0\n", "drive.frequency"),
     ])
     def test_errors_name_the_first_invalid_field(self, snippet, field):
         with pytest.raises(ConfigError) as err:
@@ -165,6 +167,11 @@ class TestParseConfig:
             parse_config("[run]\nmode = dynamics\n[drive]\namplitude = 1\n" + snippet)
         assert err.value.field == "dynamics.t_end"
         assert "dynamics.dt" in str(err.value)
+
+    def test_default_t_end_follows_the_smaller_dressed_damping(self):
+        config = parse_config("[run]\nmode = dynamics\n[drive]\namplitude = 1\n"
+                              "[system]\ngamma1 = 0.02\ng1 = 0.3\ngamma2 = 0.01\ng2 = 0.2\n")
+        assert config.t_end == 50.0 / (0.01 + 0.2 * 0.2 / 1.0)
 
     def test_step_budget_admits_its_limit(self):
         config = parse_config("[run]\nmode = dynamics\n[drive]\namplitude = 1\n"
@@ -456,8 +463,16 @@ class TestMainExitCodes:
         # About 7.5 GiB of sweep points alone.
         ("[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 1000000000\n",
          "config error: sweep.points"),
+        # hbar * frequency underflows to 0, or the amplitude overflows.
+        ("[run]\nmode = dynamics\n[drive]\npower = 1e300\nfrequency = 1e-300\n",
+         "config error: drive.frequency: "),
+        ("[run]\nmode = dynamics\n[drive]\npower = 0\nfrequency = 1e-320\n",
+         "config error: drive.frequency: "),
+        ("[run]\nmode = dynamics\n[drive]\npower = 1e300\nfrequency = 1e-10\n",
+         "config error: drive.power: "),
     ], ids=["ep-hang-bracket", "ep-adiabatic-1e200", "ep-full-1e200", "adiabatic-compare-1e200",
-            "dynamics-1e200", "points-1e9"])
+            "dynamics-1e200", "points-1e9", "power-frequency-1e-300", "power-frequency-1e-320",
+            "power-1e300"])
     def test_extreme_inputs_end_in_one_diagnostic(self, tmp_path, body, diagnostic):
         # A fresh process with a time limit and a 2 GB address space, so a
         # hang or an oversized allocation fails the test instead of the host.
@@ -487,3 +502,17 @@ class TestMainExitCodes:
         )
         assert proc.returncode == 0
         assert (tmp_path / "out.csv").exists()
+
+    def test_runtime_never_loads_the_closed_forms(self, tmp_path):
+        # The paper's closed forms are test oracles; a fresh import and a run leave them unloaded.
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(EIG_CONFIG.format(path=tmp_path / "out.csv"))
+        script = (
+            "import sys, cavitymagnons\n"
+            "from cavitymagnons.cli import main\n"
+            f"assert main(['--config', {str(config_path)!r}]) == 0\n"
+            "print('cavitymagnons.closed_forms' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"

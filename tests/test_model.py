@@ -17,14 +17,16 @@ from cavitymagnons.model import (
     build_adiabatic_model,
     build_driven_system,
     build_full_hamiltonian,
-    coupling_strength_estimate,
     drive_amplitude_from_power,
     drive_frame_matrices,
+)
+from cavitymagnons.closed_forms import (
+    adiabatic_eigenvalues,
+    coupling_strength_estimate,
     lindblad_mean_field_drift,
     polariton_basis,
     polariton_transform,
 )
-from cavitymagnons.spectra import adiabatic_eigenvalues
 
 from conftest import best_match_errors, couplings, kappas, rates, splittings, system_params_strategy
 
@@ -175,6 +177,21 @@ class TestDriveAmplitudeFromPower:
         with pytest.raises(ValueError):
             drive_amplitude_from_power(-1e-3, 1e10)
 
+    @pytest.mark.parametrize("power,frequency,culprit", [
+        (1e-3, -5.0, "drive_frequency"),
+        (1e-3, 0.0, "drive_frequency"),
+        (-1e-3, 1e10, "power"),
+        # hbar * frequency underflows to 0.
+        (1e300, 1e-300, "drive_frequency"),
+        (0.0, 1e-320, "drive_frequency"),
+        # The amplitude overflows to inf.
+        (1e300, 1e-10, "power"),
+    ])
+    def test_rejection_names_the_argument_at_fault(self, power, frequency, culprit):
+        with pytest.raises(ValueError) as err:
+            drive_amplitude_from_power(power, frequency)
+        assert str(err.value).split()[0] == culprit
+
 
 class TestAdiabaticModel:
     def test_weak_coupling_matrix(self):
@@ -209,7 +226,8 @@ class TestAdiabaticModel:
 
 class TestPolaritonTransform:
     def test_basis_is_unitary(self):
-        u = polariton_basis().transform
+        u = polariton_basis()
+        assert not u.flags.writeable
         assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
 
     def test_resonant_symmetric_case_is_diagonal(self):

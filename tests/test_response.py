@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cavitymagnons.closed_forms import (
+    analytic_magnon_response,
+    symmetric_response_closed_form,
+    zero_detuning_scattering_closed_form,
+)
 from cavitymagnons.model import DriveParams, SystemParams, build_driven_system
 from cavitymagnons.response import (
     ResponsePoint,
-    analytic_magnon_response,
-    dark_mode_amplitude,
     reflection_transmission,
     resonance_peak_height,
     spincurrent_spectrum,
     steady_state,
-    symmetric_response_closed_form,
-    zero_detuning_scattering_closed_form,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -341,10 +342,10 @@ class TestDarkMode:
         base = SystemParams(kappa=1, gamma1=1, gamma2=1, g1=2, g2=2, s=0)
         drive = DriveParams(delta=0.3, amplitude=1.0)
         magnitudes = [
-            abs(dark_mode_amplitude(replace(base, s=s), drive)) for s in (0.1, 0.25, 0.5)
+            abs(steady_state(replace(base, s=s), drive).dark_amplitude) for s in (0.1, 0.25, 0.5)
         ]
         assert magnitudes[0] < magnitudes[1] < magnitudes[2]
 
     def test_asymmetric_couplings_break_extinction(self):
         p = SystemParams(kappa=1, gamma1=1, gamma2=1, g1=2, g2=1.5, s=0)
-        assert abs(dark_mode_amplitude(p, DriveParams(delta=0.0, amplitude=1.0))) > 1e-3
+        assert abs(steady_state(p, DriveParams(delta=0.0, amplitude=1.0)).dark_amplitude) > 1e-3

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cavitymagnons.closed_forms import adiabatic_eigenvalues, closed_form_symmetric, weak_coupling_approx
 from cavitymagnons.model import SystemParams, build_adiabatic_model, build_full_hamiltonian
 from cavitymagnons.spectra import (
     EP_GAP_TOLERANCE,
@@ -19,13 +20,10 @@ from cavitymagnons.spectra import (
     ExceptionalPoint,
     ExceptionalPointNotFound,
     _magnon_pair,
-    adiabatic_eigenvalues,
-    closed_form_symmetric,
     eigenvalues_3x3,
     find_exceptional_point,
     sweep_eigenvalues,
     track_branches,
-    weak_coupling_approx,
 )
 
 from conftest import best_match_errors, couplings, kappas, splittings, system_params_strategy
