@@ -448,18 +448,15 @@ def _run_adiabatic_compare(config: RunConfig) -> tuple[list[str], list, dict]:
 
 def _run_dynamics(config: RunConfig) -> tuple[list[str], list, dict]:
     drive = config.drive
+    # Keep about 2000 rows so long runs stay reviewable; only those are computed.
+    stride = max(1, (dynamics.step_count(config.t_end, config.dt) + 1) // 2000)
     trajectory = dynamics.integrate_full(
-        config.system, drive, np.zeros(3, dtype=complex), config.t_end, config.dt
+        config.system, drive, np.zeros(3, dtype=complex), config.t_end, config.dt, stride
     )
     steady = response.steady_state(config.system, drive)
     target = np.array([steady.a, steady.m1, steady.m2])
-    # Thin the stored rows so long runs stay reviewable.
-    stride = max(1, trajectory.times.size // 2000)
-    idx = np.arange(0, trajectory.times.size, stride)
-    if idx[-1] != trajectory.times.size - 1:
-        idx = np.append(idx, trajectory.times.size - 1)
-    times = trajectory.times[idx]
-    states = trajectory.states[idx]
+    times = trajectory.times
+    states = trajectory.states
     distance = np.linalg.norm(states - target, axis=1)
     headers = ["t", "re_a", "im_a", "re_m1", "im_m1", "re_m2", "im_m2", "dist_to_steady"]
     columns = [

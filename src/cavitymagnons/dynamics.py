@@ -9,12 +9,17 @@ shares the same stepper.
 
 On a linear ODE one RK4 step is exactly the affine map y <- P y + q, with
 P = sum_{j<=4} (hA)^j / j!.  The stepper builds that map once, as the
-augmented matrix M = [[P, q], [0, 1]], precomputes M^1 .. M^BLOCK_STEPS and
-fills each block of BLOCK_STEPS trajectory rows with one stacked product.
-The map also gives the exact stability rule: the step is rejected when the
-spectral radius of P exceeds 1 by more than rounding (the eigenvalues of P
-are R(h lambda) for the RK4 stability polynomial R).  Runs longer than
-MAX_STEPS steps are rejected before any storage is allocated.
+augmented matrix M = [[P, q], [0, 1]], and propagates with two levels of its
+powers: level 1 is M^1 .. M^64, level 2 is M^64, M^128 .. M^4032.  One pass
+applies level 2 to the current state to get up to 64 anchors 64 steps apart,
+then level 1 to every anchor, so it writes up to 4096 trajectory rows with
+two stacked products.  With stride > 1 the same passes run on M^stride
+(built by repeated squaring) and return every stride-th row plus the final
+step, so a run costs O(log stride + rows) products and O(rows) memory rather
+than O(t_end/dt).  The map also gives the exact stability rule: the step is
+rejected when the spectral radius of P exceeds 1 by more than rounding (the
+eigenvalues of P are R(h lambda) for the RK4 stability polynomial R).  Runs
+longer than MAX_STEPS steps are rejected before any storage is allocated.
 
 The matrix exponential (scipy's scaling-and-squaring expm) serves only the
 propagate_exact oracle, so scipy is imported when that oracle first runs.
@@ -22,6 +27,7 @@ propagate_exact oracle, so scipy is imported when that oracle first runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +40,13 @@ from .model import (
     build_driven_system,
 )
 
-# Steps advanced by one stacked product of the precomputed powers of the step map.
+# Rows written per anchor by one stacked product of the level-1 powers; one pass
+# applies BLOCK_STEPS anchors, so it writes up to BLOCK_STEPS**2 rows.
 BLOCK_STEPS = 64
-# Longest run accepted: 10**7 steps of three complex amplitudes store 480 MB.
+# Longest run accepted, in steps.  A run costs O(log stride + rows) products of
+# the two levels of powers and O(rows) memory: at stride 1 (every step kept)
+# 10**7 steps of three complex amplitudes store 480 MB, while a strided run
+# stores only its rows and the budget then bounds the accumulated rounding.
 MAX_STEPS = 10**7
 # How far the computed spectral radius of the step map may exceed 1 (rounding
 # in its eigenvalues); growth by this factor over MAX_STEPS steps stays below 1e-5.
@@ -45,11 +55,13 @@ STABILITY_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Integrated amplitudes on a uniform time grid.
+    """Integrated amplitudes at the returned steps of a uniform RK4 grid.
 
-    times          : (n,) strictly increasing, in units of 1/kappa
+    times          : (n,) strictly increasing times of the returned rows, in units
+                     of 1/kappa: every stride-th step, plus the final step
     states         : (n, k) complex amplitudes, k = 3 (full) or 2 (reduced)
-    dt             : actual step size used (t_end snapped to a whole number of steps)
+    dt             : actual RK4 step size used (t_end snapped to a whole number of
+                     steps), not the spacing of the rows
     final_residual : norm of the right-hand side at the final state; tends to
                      zero as the trajectory settles into the steady state
     """
@@ -74,13 +86,13 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
 def step_count(t_end: float, dt: float) -> int:
     """Number of RK4 steps covering [0, t_end] at nominal step dt.
 
-    Raises ValueError for a non-positive t_end or dt, and for runs longer
-    than MAX_STEPS steps.
+    Raises ValueError for a t_end or dt that is not positive and finite, and
+    for runs longer than MAX_STEPS steps.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     ratio = t_end / dt
     if not ratio < MAX_STEPS + 0.5:  # also rejects an overflowed ratio
         raise ValueError(f"t_end/dt = {ratio:.6g} steps exceeds the budget of {MAX_STEPS} steps")
@@ -119,27 +131,94 @@ def _block_powers(m: np.ndarray) -> np.ndarray:
     return powers[:BLOCK_STEPS]
 
 
-def _integrate_linear(a: np.ndarray, force: np.ndarray, state0: np.ndarray, t_end: float, dt: float) -> Trajectory:
-    """Fixed-step RK4 on dy/dt = A y + F from t = 0 to t_end, BLOCK_STEPS steps per product."""
+def _matrix_power(m: np.ndarray, exponent: int) -> np.ndarray:
+    """M^exponent for exponent >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if exponent & 1:
+            result = m if result is None else _matmul(result, m)
+        exponent >>= 1
+        if not exponent:
+            return result
+        m = _matmul(m, m)
+
+
+def _side_by_side(powers: np.ndarray) -> np.ndarray:
+    """The top k rows of n augmented powers as one real (2(k+1), 2nk) array.
+
+    Every power keeps the last row (0, ..., 0, 1), so only the top k rows are
+    applied.  The array acts on [y; 1] viewed as interleaved real and imaginary
+    parts and gives the n states side by side in the same layout.  Real
+    products keep einsum on its fast float loops; each output still sums its
+    terms in input order, so zero couplings add exact zeros.
+    """
+    n, size, _ = powers.shape
+    top = powers[:, :-1].transpose(2, 0, 1)
+    real = np.empty((size, 2, n, size - 1, 2))
+    real[:, 0, ..., 0] = top.real
+    real[:, 0, ..., 1] = top.imag
+    real[:, 1, ..., 0] = -top.imag
+    real[:, 1, ..., 1] = top.real
+    return real.reshape(2 * size, 2 * n * (size - 1))
+
+
+def _propagate(r: np.ndarray, states: np.ndarray, n_rows: int) -> None:
+    """Fill states[1 : n_rows + 1] with y_{j+1} = R y_j from states[0], R augmented.
+
+    Each pass makes BLOCK_STEPS anchors R^(64 c) y from the level-2 powers and
+    expands each into 64 rows with the level-1 powers, BLOCK_STEPS**2 rows in
+    all, written straight into states.  Passes write whole blocks of 64 rows,
+    so states needs room up to the first multiple of 64 at or past n_rows.
+    """
+    k = states.shape[1]
+    level1 = _block_powers(r)
+    rows_from_anchor = _side_by_side(level1)
+    anchors_from_state = _side_by_side(_block_powers(level1[-1])[:-1])
+    anchors = np.ones((BLOCK_STEPS, k + 1), dtype=complex)
+    flat = anchors.view(float)
+    n_blocks = -(-n_rows // BLOCK_STEPS)
+    for first in range(0, n_blocks, BLOCK_STEPS):
+        count = min(BLOCK_STEPS, n_blocks - first)
+        start = first * BLOCK_STEPS
+        anchors[0, :k] = states[start]
+        later = np.einsum("j,jB->B", flat[0], anchors_from_state[:, :2 * (count - 1) * k])
+        anchors[1:count, :k] = later.view(complex).reshape(count - 1, k)
+        block = states[start + 1:start + 1 + count * BLOCK_STEPS].view(float).reshape(count, 2 * BLOCK_STEPS * k)
+        np.einsum("cj,jB->cB", flat[:count], rows_from_anchor, out=block)
+
+
+def _integrate_linear(
+    a: np.ndarray, force: np.ndarray, state0: np.ndarray, t_end: float, dt: float, stride: int = 1
+) -> Trajectory:
+    """Fixed-step RK4 on dy/dt = A y + F from t = 0 to t_end, keeping every stride-th step and the last."""
     n_steps = step_count(t_end, dt)
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    if not np.all(np.isfinite(state0)):
+        raise ValueError("initial state must be finite")
     h = t_end / n_steps
     k = state0.size
     m = _step_map(a, force, h)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"dt={dt} overflows the RK4 step map: its entries are not finite")
     radius = float(np.abs(np.linalg.eigvals(m[:k, :k])).max())
     if radius > 1.0 + STABILITY_SLACK:
         raise ValueError(
             f"dt={dt} violates the RK4 stability bound: the step map amplifies by {radius:.6g} per step"
         )
-    # Every power keeps the last row (0, ..., 0, 1), so only the top k rows are applied.
-    top = _block_powers(m)[:, :k]
-    states = np.empty((n_steps + 1, k), dtype=complex)
-    states[0] = state0
-    y = np.append(state0, 1.0)
-    for start in range(1, n_steps + 1, BLOCK_STEPS):
-        block = states[start:start + BLOCK_STEPS]
-        np.einsum("bij,j->bi", top[:len(block)], y, out=block)
-        y[:k] = block[-1]
-    times = np.linspace(0.0, t_end, n_steps + 1)
+    n_rows, tail = divmod(n_steps, stride)
+    # Whole blocks of rows plus one for the tail step; rows past the trajectory are scratch.
+    buffer = np.empty((-(-n_rows // BLOCK_STEPS) * BLOCK_STEPS + 2, k), dtype=complex)
+    buffer[0] = state0
+    _propagate(_matrix_power(m, stride), buffer, n_rows)
+    if tail:
+        last = np.append(buffer[n_rows], 1.0)
+        np.einsum("ij,j->i", _matrix_power(m, tail)[:k], last, out=buffer[n_rows + 1])
+    times = np.arange(n_rows + 1 + bool(tail), dtype=float)
+    times *= stride  # exact: whole numbers below 2**53
+    times *= h
+    times[-1] = t_end
+    states = buffer[:times.size]
     residual = float(np.linalg.norm(a @ states[-1] + force))
     return Trajectory(times=times, states=states, dt=h, final_residual=residual)
 
@@ -150,6 +229,7 @@ def integrate_full(
     state0,
     t_end: float,
     dt: float,
+    stride: int = 1,
 ) -> Trajectory:
     """Integrate the driven three-mode system dX/dt = -i(H - delta)X + F.
 
@@ -157,13 +237,14 @@ def integrate_full(
     step map amplifies any eigenmode is rejected.  With any damping
     on and a constant drive the trajectory converges to the closed-form steady
     state -i (H - delta)^(-1) F, which is also the exact fixed point of the
-    RK4 map.
+    RK4 map.  With stride > 1 only steps 0, stride, 2 stride, ... and the
+    final step are returned, and only those are stored.
     """
     system = build_driven_system(params, drive)
     state0 = np.asarray(state0, dtype=complex)
     if state0.shape != (3,):
         raise ValueError(f"initial state must have 3 components, got shape {state0.shape}")
-    return _integrate_linear(-1j * system.matrix, system.force, state0, t_end, dt)
+    return _integrate_linear(-1j * system.matrix, system.force, state0, t_end, dt, stride)
 
 
 def integrate_adiabatic(model: AdiabaticModel, state0, t_end: float, dt: float) -> Trajectory:
@@ -227,6 +308,8 @@ def adiabatic_validity_report(
     m0 = np.asarray(magnon_state0, dtype=complex)
     if m0.shape != (2,):
         raise ValueError(f"initial magnon state must have 2 components, got shape {m0.shape}")
+    if not np.all(np.isfinite(m0)):
+        raise ValueError("initial magnon state must be finite")
     norm0 = np.linalg.norm(m0)
     if norm0 == 0:
         raise ValueError("initial magnon state must be nonzero")

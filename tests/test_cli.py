@@ -470,9 +470,13 @@ class TestMainExitCodes:
          "config error: drive.frequency: "),
         ("[run]\nmode = dynamics\n[drive]\npower = 1e300\nfrequency = 1e-10\n",
          "config error: drive.power: "),
+        # The RK4 step map overflows; its eigenvalues cannot be taken.
+        ("[run]\nmode = dynamics\n[system]\nkappa = 1.67\ngamma1 = 1e150\ngamma2 = 0.98\ng2 = 1.57\ns = 27\n"
+         "[drive]\namplitude = 0\n[dynamics]\ndt = 0.0574\nt_end = 27.5\n",
+         "numerical error: dt=0.0574 overflows the RK4 step map"),
     ], ids=["ep-hang-bracket", "ep-adiabatic-1e200", "ep-full-1e200", "adiabatic-compare-1e200",
             "dynamics-1e200", "points-1e9", "power-frequency-1e-300", "power-frequency-1e-320",
-            "power-1e300"])
+            "power-1e300", "dynamics-step-map-overflow"])
     def test_extreme_inputs_end_in_one_diagnostic(self, tmp_path, body, diagnostic):
         # A fresh process with a time limit and a 2 GB address space, so a
         # hang or an oversized allocation fails the test instead of the host.
@@ -492,6 +496,25 @@ class TestMainExitCodes:
         assert proc.stdout == ""
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "out.json").exists()
+
+    def test_dynamics_memory_follows_the_rows(self, tmp_path):
+        # 2*10**6 steps: storing every step took 139 MB; only the 2003 written rows are kept now.
+        out = tmp_path / "dyn.csv"
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("[run]\nmode = dynamics\n[system]\ns = 0.04\n[drive]\namplitude = 1\n"
+                               f"[dynamics]\nt_end = 200000\ndt = 0.1\n[output]\npath = {out}\nformat = csv\n")
+        # The child reports the peak of its own address space (VmHWM).  Its
+        # ru_maxrss would also count the forked image of this test process.
+        script = (
+            "from cavitymagnons.cli import main\n"
+            f"assert main(['--config', {str(config_path)!r}]) == 0\n"
+            "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        peak_mb = int(proc.stdout.split()[-2]) / 1024  # "VmHWM:  <n> kB"
+        assert peak_mb < 70
+        assert len(out.read_text().splitlines()) == 2003
 
     def test_console_entry_point(self, tmp_path):
         config_path = tmp_path / "run.cfg"

@@ -1,10 +1,11 @@
 """Tests for the time-domain integrators and the adiabatic validity check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -16,6 +17,7 @@ from cavitymagnons.dynamics import (
     matrix_exponential,
     propagate_exact,
     slaved_cavity_amplitude,
+    step_count,
 )
 from cavitymagnons.model import (
     DriveParams,
@@ -30,6 +32,8 @@ from conftest import system_params_strategy
 SQRT2 = math.sqrt(2.0)
 
 WEAK = SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0.2, g2=0.2, s=0.04)
+# Weakly damped: still oscillating after several thousand accurate steps.
+RINGING = SystemParams(kappa=1e-3, gamma1=0.0, gamma2=1e-3, g1=0.4, g2=0.25, s=0.3)
 STRONG = SystemParams(kappa=1, gamma1=1, gamma2=1, g1=2, g2=2, s=0.5)
 FREE = DriveParams(delta=0.0, amplitude=0.0)
 
@@ -56,6 +60,9 @@ def accurate_dt(matrix) -> float:
 
 # Step counts that end mid-block, so partial blocks are covered.
 step_counts = st.sampled_from([1, BLOCK_STEPS - 1, BLOCK_STEPS + 1, 3 * BLOCK_STEPS + 5])
+# One pass of the stepper writes BLOCK_STEPS**2 rows; these end around and past it.
+PASS_STEPS = BLOCK_STEPS**2
+pass_step_counts = pytest.mark.parametrize("n_steps", [PASS_STEPS - 1, PASS_STEPS, PASS_STEPS + 1, 2 * PASS_STEPS + 5])
 unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
 
 
@@ -103,6 +110,71 @@ class TestBlockStepperMatchesReference:
         t_end = n_steps * dt
         traj = integrate_adiabatic(model, y0, t_end, dt)
         assert_matches_reference(traj.states, rk4_reference(-1j * model.matrix, np.zeros(2), y0, t_end, n_steps))
+
+    @pass_step_counts
+    @given(system_params_strategy(), st.floats(min_value=-6.0, max_value=6.0), st.floats(min_value=0.0, max_value=2.0),
+           st.lists(unit_floats, min_size=6, max_size=6))
+    @example(p=RINGING, delta=0.1, amplitude=1.0, parts=[0.2, -0.7, 0.5, 0.1, 0.3, -0.4])
+    @settings(max_examples=2, deadline=None)
+    def test_integrate_full_across_passes(self, n_steps, p, delta, amplitude, parts):
+        # The reference is a Python loop, so few examples; the explicit one keeps
+        # every component moving, where the first drawn ones start from rest.
+        drive = DriveParams(delta=delta, amplitude=amplitude)
+        system = build_driven_system(p, drive)
+        x0 = np.array(parts[:3]) + 1j * np.array(parts[3:])
+        dt = accurate_dt(system.matrix)
+        t_end = n_steps * dt
+        traj = integrate_full(p, drive, x0, t_end, dt)
+        assert_matches_reference(traj.states, rk4_reference(-1j * system.matrix, system.force, x0, t_end, n_steps))
+
+    @pass_step_counts
+    @given(system_params_strategy(), st.lists(unit_floats, min_size=4, max_size=4))
+    @example(p=RINGING, parts=[-0.7, 0.5, 0.3, -0.4])
+    @settings(max_examples=2, deadline=None)
+    def test_integrate_adiabatic_across_passes(self, n_steps, p, parts):
+        model = build_adiabatic_model(p)
+        y0 = np.array(parts[:2]) + 1j * np.array(parts[2:])
+        dt = accurate_dt(model.matrix)
+        t_end = n_steps * dt
+        traj = integrate_adiabatic(model, y0, t_end, dt)
+        assert_matches_reference(traj.states, rk4_reference(-1j * model.matrix, np.zeros(2), y0, t_end, n_steps))
+
+
+class TestStride:
+    @pytest.mark.parametrize("stride", [2, 7, BLOCK_STEPS, BLOCK_STEPS + 1, 1000, PASS_STEPS + 3])
+    @pytest.mark.parametrize("n_steps", [1, 999, 2 * PASS_STEPS + 5, 20000])
+    @given(system_params_strategy(), st.floats(min_value=-6.0, max_value=6.0), st.floats(min_value=0.0, max_value=2.0),
+           st.lists(unit_floats, min_size=6, max_size=6))
+    @example(p=RINGING, delta=0.1, amplitude=1.0, parts=[0.2, -0.7, 0.5, 0.1, 0.3, -0.4])
+    @settings(max_examples=3, deadline=None)
+    def test_rows_are_every_stride_th_step_and_the_last(self, stride, n_steps, p, delta, amplitude, parts):
+        drive = DriveParams(delta=delta, amplitude=amplitude)
+        x0 = np.array(parts[:3]) + 1j * np.array(parts[3:])
+        matrix = build_driven_system(p, drive).matrix
+        dt = accurate_dt(matrix)
+        t_end = n_steps * dt
+        every = integrate_full(p, drive, x0, t_end, dt)
+        strided = integrate_full(p, drive, x0, t_end, dt, stride=stride)
+        rows = np.arange(0, n_steps + 1, stride)
+        if rows[-1] != n_steps:
+            rows = np.append(rows, n_steps)
+        assert np.array_equal(strided.times, every.times[rows])
+        assert strided.states.shape == (rows.size, 3)
+        scale = np.abs(every.states).max()
+        assert np.abs(strided.states - every.states[rows]).max() <= 1e-12 * scale
+        assert strided.dt == every.dt
+        # The residual is taken at the final step: it moves at most by |A| times the state difference.
+        bound = 2e-12 * scale * np.linalg.norm(matrix, 2) + 1e-14
+        assert abs(strided.final_residual - every.final_residual) <= bound
+
+    @pytest.mark.parametrize("stride", [0, -3, 2.0, True, "4", None])
+    def test_rejects_invalid_stride(self, stride):
+        with pytest.raises(ValueError, match="stride"):
+            integrate_full(WEAK, DriveParams(), np.zeros(3), t_end=1.0, dt=0.01, stride=stride)
+
+    def test_numpy_integer_stride(self):
+        traj = integrate_full(WEAK, DriveParams(), np.zeros(3), t_end=1.0, dt=0.01, stride=np.int64(10))
+        assert traj.times.size == 11
 
 
 class TestIntegrateFull:
@@ -191,6 +263,25 @@ class TestIntegrateFull:
         with pytest.raises(ValueError):
             integrate_full(WEAK, DriveParams(), np.zeros(2), t_end=1.0, dt=0.01)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_rejects_non_finite_state(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_full(WEAK, DriveParams(), [0.0, bad, 0.0], t_end=1.0, dt=0.01)
+
+    def test_rejects_overflowing_step_map(self):
+        # z^3 / 24 overflows for a damping of 1e150: the map is not finite.
+        p = SystemParams(kappa=1.67, gamma1=1e150, gamma2=0.98, g1=1.0, g2=1.57, s=27)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"dt=0\.0574 overflows the RK4 step map"):
+            integrate_full(p, FREE, np.zeros(3), t_end=27.5, dt=0.0574)
+
+
+class TestStepCount:
+    @pytest.mark.parametrize("t_end,dt", [(1.0, np.inf), (1.0, np.nan), (np.inf, 0.1), (np.nan, 0.1),
+                                          (1.0, -0.1), (0.0, 0.1)])
+    def test_rejects_non_finite_or_non_positive(self, t_end, dt):
+        with pytest.raises(ValueError, match="positive and finite"):
+            step_count(t_end, dt)
+
 
 class TestIntegrateAdiabatic:
     def test_bright_combination_decays_superradiantly(self):
@@ -221,6 +312,11 @@ class TestIntegrateAdiabatic:
         with pytest.raises(ValueError):
             integrate_adiabatic(build_adiabatic_model(WEAK), np.zeros(3), t_end=1.0, dt=0.01)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_rejects_non_finite_state(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_adiabatic(build_adiabatic_model(WEAK), [bad, 0.0], t_end=1.0, dt=0.01)
+
 
 class TestSlavedCavity:
     def test_formula(self):
@@ -242,6 +338,18 @@ class TestAdiabaticValidityReport:
     def test_decoupled_systems_agree_exactly(self):
         p = SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0, g2=0, s=0.3)
         assert adiabatic_validity_report(p, [1.0, 0.5j], t_end=10.0, dt=0.01) == 0.0
+
+    def test_decoupled_systems_agree_exactly_across_passes(self):
+        p = SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0, g2=0, s=0.3)
+        n_steps = 2 * BLOCK_STEPS**2 + 5
+        assert adiabatic_validity_report(p, [1.0, 0.5j], t_end=n_steps * 0.01, dt=0.01) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_initial_state(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                adiabatic_validity_report(WEAK, [bad, 0.0], t_end=1.0)
 
     def test_rejects_zero_initial_state(self):
         with pytest.raises(ValueError):
