@@ -497,6 +497,26 @@ class TestMainExitCodes:
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "out.json").exists()
 
+    def test_huge_coupling_sweep_keeps_the_dark_root(self, tmp_path):
+        # g = 1e200: the characteristic coefficients overflow unless each
+        # matrix is scaled first, and the dark root -i*gamma is 1e-202 of the
+        # largest entry.
+        out = tmp_path / "out.csv"
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("[run]\nmode = eig-sweep\n[system]\ng1 = 1e200\ng2 = 1e200\n"
+                               f"[sweep]\nmin = -1\nmax = 1\npoints = 11\n[output]\npath = {out}\nformat = csv\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cavitymagnons", "--config", str(config_path)],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, rows = read_csv(out)
+        assert rows.shape == (11, 7)
+        assert np.isfinite(rows).all()
+        values = rows[:, 1::2] + 1j * rows[:, 2::2]
+        dark = values[np.arange(11), np.argmin(np.abs(values), axis=1)]
+        assert np.abs(dark + 0.01j).max() <= 1e-12
+
     def test_dynamics_memory_follows_the_rows(self, tmp_path):
         # 2*10**6 steps: storing every step took 139 MB; only the 2003 written rows are kept now.
         out = tmp_path / "dyn.csv"

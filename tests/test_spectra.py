@@ -5,6 +5,7 @@ import itertools
 import math
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +13,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cavitymagnons import spectra
 from cavitymagnons.closed_forms import adiabatic_eigenvalues, closed_form_symmetric, weak_coupling_approx
 from cavitymagnons.model import SystemParams, build_adiabatic_model, build_full_hamiltonian
 from cavitymagnons.spectra import (
     EP_GAP_TOLERANCE,
+    ROOT_BLOCK_ROWS,
     TRACK_BLOCK_STEPS,
     ExceptionalPoint,
     ExceptionalPointNotFound,
+    _cubic_roots,
     _magnon_pair,
+    _pair_roots,
     eigenvalues_3x3,
     find_exceptional_point,
     sweep_eigenvalues,
@@ -131,6 +136,20 @@ def char_poly_residual(h, lam):
     )
 
 
+def assert_matches_lapack(values, matrix):
+    """values are the eigenvalues of matrix, against LAPACK, tiered on root separation.
+
+    Multiple roots are ill-conditioned for every solver (eps**(1/3) for a
+    triple root), so the tolerance is 1e-9 * max(1, |lambda|) for separated
+    roots and 1e-5 * max(1, |lambda|) for clusters.
+    """
+    oracle = np.linalg.eigvals(matrix)
+    scale = max(1.0, np.abs(oracle).max())
+    gaps = [abs(oracle[i] - oracle[j]) for i in range(len(oracle)) for j in range(i + 1, len(oracle))]
+    tol = 1e-9 * scale if min(gaps) > 1e-3 * scale else 1e-5 * scale
+    assert best_match_errors(values, oracle).max() < tol
+
+
 class TestEigenvalues3x3:
     def test_symmetric_strong_coupling(self):
         h = build_full_hamiltonian(SystemParams(kappa=1, gamma1=1, gamma2=1, g1=2, g2=2, s=0))
@@ -152,14 +171,7 @@ class TestEigenvalues3x3:
     @settings(max_examples=150)
     def test_against_lapack_oracle(self, params):
         h = build_full_hamiltonian(params)
-        mine = eigenvalues_3x3(h)
-        oracle = np.linalg.eigvals(h)
-        scale = max(1.0, np.abs(oracle).max())
-        # Multiple roots are ill-conditioned for every solver (eps**(1/3) for a
-        # triple root), so the value comparison is tiered on root separation.
-        gaps = [abs(oracle[i] - oracle[j]) for i in range(3) for j in range(i + 1, 3)]
-        tol = 1e-9 * scale if min(gaps) > 1e-3 * scale else 1e-5 * scale
-        assert best_match_errors(mine, oracle).max() < tol
+        assert_matches_lapack(eigenvalues_3x3(h), h)
 
     @given(params_strategy)
     @settings(max_examples=150)
@@ -208,6 +220,129 @@ class TestEigenvalues3x3:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             eigenvalues_3x3(np.eye(2))
+
+
+class TestRootKernels:
+    """_cubic_roots and _pair_roots, the closed-form kernels behind sweep_eigenvalues."""
+
+    @given(params_strategy, st.floats(min_value=1e-3, max_value=6.0), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=100, deadline=None)
+    def test_roots_satisfy_characteristic_equation(self, params, half_width, n):
+        h = build_full_hamiltonian(params, s=np.linspace(-half_width, half_width, n))
+        for matrix, roots in zip(h, _cubic_roots(h)):
+            norm = np.linalg.norm(matrix)
+            for lam in roots:
+                assert char_poly_residual(matrix, lam) <= 1e-9 * max(1.0, norm) ** 3
+
+    @given(params_strategy, st.floats(min_value=1e-3, max_value=6.0), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=100, deadline=None)
+    def test_root_sum_and_product(self, params, half_width, n):
+        h = build_full_hamiltonian(params, s=np.linspace(-half_width, half_width, n))
+        for matrix, roots in zip(h, _cubic_roots(h)):
+            trace = np.trace(matrix)
+            det = np.linalg.det(matrix)
+            # Tiered as for eigenvalues_3x3: a degenerate cluster carries the
+            # intrinsic eps**(1/3) root sensitivity.
+            scale = max(1.0, np.abs(roots).max())
+            gaps = [abs(roots[i] - roots[j]) for i in range(3) for j in range(i + 1, 3)]
+            tol = 1e-10 if min(gaps) > 1e-3 * scale else 1e-4
+            assert abs(roots.sum() - trace) < tol * max(1.0, abs(trace), scale)
+            assert abs(roots.prod() - det) < max(tol, 1e-9) * max(1.0, abs(det), scale ** 3)
+
+    @given(params_strategy, st.floats(min_value=1e-3, max_value=6.0), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=100, deadline=None)
+    def test_roots_match_lapack(self, params, half_width, n):
+        s_values = np.linspace(-half_width, half_width, n)
+        h = build_full_hamiltonian(params, s=s_values)
+        for matrix, roots in zip(h, _cubic_roots(h)):
+            assert_matches_lapack(roots, matrix)
+        m = build_adiabatic_model(params, s=s_values).matrix
+        for matrix, roots in zip(m, _pair_roots(m)):
+            assert_matches_lapack(roots, matrix)
+
+    @given(params_strategy, st.integers(min_value=1, max_value=40))
+    @settings(max_examples=50, deadline=None)
+    def test_one_row_stack_equals_its_row_of_the_sweep(self, params, n):
+        s_values = np.linspace(-abs(params.s) - 1.0, abs(params.s) + 1.0, n)
+        full = _cubic_roots(build_full_hamiltonian(params, s=s_values))
+        pair = _pair_roots(build_adiabatic_model(params, s=s_values).matrix)
+        for i, s in enumerate(s_values):
+            point = replace(params, s=float(s))
+            assert np.array_equal(_cubic_roots(build_full_hamiltonian(point)), full[i:i + 1])
+            assert np.array_equal(_pair_roots(build_adiabatic_model(point).matrix), pair[i:i + 1])
+
+    def test_linewidths_match_lapack(self):
+        # Narrow magnons at strong coupling: |Im lambda| is 1e-4 (the dark-like
+        # root) and 0.5 (the polaritons) against |lambda| up to ~140.
+        params = SystemParams(kappa=1, gamma1=1e-4, gamma2=1e-4, g1=50, g2=50)
+        h = build_full_hamiltonian(params, s=np.linspace(-100, 100, 2001))
+        roots, oracle = _cubic_roots(h), np.linalg.eigvals(h)
+        # The real parts are at least 2 g apart, so sorting on them pairs the roots.
+        roots = np.take_along_axis(roots, np.argsort(roots.real, axis=1), axis=1)
+        oracle = np.take_along_axis(oracle, np.argsort(oracle.real, axis=1), axis=1)
+        relative = np.abs(roots.imag - oracle.imag) / np.abs(oracle.imag)
+        # Unpolished, Cardano's cancellation leaves 1e-10 in the narrow root
+        # and 1e-13 in the polaritons; the polish brings them to 1e-12 and 3e-14.
+        assert relative.max() <= 2e-12
+        assert relative[:, [0, 2]].max() <= 5e-14
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cardano_takes_the_larger_branch(self, sign):
+        # A cyclic shift has p = 0 and q = -sign: one of -q/2 +/- sqrt(q^2/4) is
+        # exactly 0, and taking it would read as a triple root.
+        h = sign * np.roll(np.eye(3, dtype=complex), 1, axis=1)
+        assert_matches_lapack(_cubic_roots(h)[0], h)
+
+    def test_blocks_do_not_change_the_roots(self, monkeypatch):
+        s_values = np.linspace(-3.0, 3.0, 2 * ROOT_BLOCK_ROWS + 1)
+        h = build_full_hamiltonian(SystemParams(), s=s_values)
+        m = build_adiabatic_model(SystemParams(), s=s_values).matrix
+        full, pair = _cubic_roots(h), _pair_roots(m)
+        monkeypatch.setattr(spectra, "ROOT_BLOCK_ROWS", len(s_values))
+        assert np.array_equal(_cubic_roots(h), full)
+        assert np.array_equal(_pair_roots(m), pair)
+
+    @pytest.mark.parametrize("rate", [1.0, 0.25, 3.0])
+    def test_triple_root_without_coupling(self, rate):
+        # Equal diagonals and g = 0: p = q = 0 exactly, so u = 0 and all three roots are the shift.
+        h = build_full_hamiltonian(SystemParams(kappa=rate, gamma1=rate, gamma2=rate, g1=0, g2=0, s=0))
+        assert np.array_equal(_cubic_roots(h), np.full((1, 3), -1j * rate))
+
+    def test_pair_roots_are_exact_at_the_reduced_coalescence(self):
+        # g1 g2 / kappa = 0.25 and s = 0.25 are exact in binary: half^2 + a01 a10 = 0.
+        m = build_adiabatic_model(SystemParams(kappa=1, gamma1=0.5, gamma2=0.5, g1=0.5, g2=0.5, s=0.25)).matrix
+        assert np.array_equal(_pair_roots(m), np.full((1, 2), -0.75j))
+
+    def test_non_finite_roots_raise(self):
+        h = np.stack([np.eye(3, dtype=complex), np.eye(3, dtype=complex)])
+        h[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="stack row 1"):
+            _cubic_roots(h)
+
+    @pytest.mark.parametrize("adiabatic", [False, True])
+    def test_sweeps_make_no_lapack_call(self, monkeypatch, adiabatic):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep called np.linalg.eigvals")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        branch_set = sweep_eigenvalues(SystemParams(), -0.2, 0.2, 51, adiabatic=adiabatic)
+        assert np.isfinite(branch_set.branches).all()
+
+    def test_tiny_scale_sweep(self):
+        # Every rate times 1e-300: unscaled, p ~ 1e-600 and q ~ 1e-900 would underflow to 0.
+        c = 1e-300
+        unit = SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0.2, g2=0.2)
+        tiny = SystemParams(kappa=c, gamma1=0.01 * c, gamma2=0.01 * c, g1=0.2 * c, g2=0.2 * c)
+        unit_set = sweep_eigenvalues(unit, -0.2, 0.2, 41)
+        branch_set = sweep_eigenvalues(tiny, -0.2 * c, 0.2 * c, 41)
+        assert np.isfinite(branch_set.branches).all()
+        for s, roots, unit_roots in zip(branch_set.sweep_values, branch_set.branches, unit_set.branches):
+            # In kappa units, where the residual bound says something.
+            h = build_full_hamiltonian(replace(tiny, s=float(s))) / c
+            norm = np.linalg.norm(h)
+            for lam in roots / c:
+                assert char_poly_residual(h, lam) <= 1e-9 * max(1.0, norm) ** 3
+            assert best_match_errors(roots / c, unit_roots).max() < 1e-9
 
 
 class TestClosedFormSymmetric:
@@ -311,9 +446,11 @@ class TestBranchTracking:
         params = SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0.2, g2=0.2)
         branch_set = sweep_eigenvalues(params, -0.2, 0.2, 101)
         for i, s in enumerate(branch_set.sweep_values):
-            raw = eigenvalues_3x3(build_full_hamiltonian(SystemParams(
-                kappa=1, gamma1=0.01, gamma2=0.01, g1=0.2, g2=0.2, s=float(s))))
+            h = build_full_hamiltonian(SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0.2, g2=0.2, s=float(s)))
+            # The sweep's roots at s, reordered only: a one-row stack gives them bit for bit.
+            raw = _cubic_roots(h)[0]
             assert best_match_errors(np.sort_complex(branch_set.branches[i]), np.sort_complex(raw)).max() == 0
+            assert_matches_lapack(raw, h)
 
     def test_branches_are_continuous(self):
         params = SystemParams(kappa=1, gamma1=1, gamma2=1, g1=2, g2=2)
@@ -325,8 +462,9 @@ class TestBranchTracking:
     def test_single_point_sweep(self):
         params = SystemParams(kappa=1, gamma1=1, gamma2=1, g1=2, g2=2, s=0.5)
         branch_set = sweep_eigenvalues(params, 0.5, 0.5, 1)
-        raw = eigenvalues_3x3(build_full_hamiltonian(params))
-        assert best_match_errors(branch_set.branches[0], raw).max() == 0
+        h = build_full_hamiltonian(params)
+        assert best_match_errors(branch_set.branches[0], _cubic_roots(h)[0]).max() == 0
+        assert_matches_lapack(branch_set.branches[0], h)
 
     def test_identity_preferred_on_ties(self):
         raw = np.array([[1 + 0j, -1 + 0j], [1 + 0j, -1 + 0j]])
