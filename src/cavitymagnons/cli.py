@@ -1,15 +1,15 @@
 """Command-line front end: config-driven sweeps with CSV/JSON output.
 
-A run is described by an INI-style config file (sections [run], [system],
-[sweep], [drive], [dynamics], [ep], [si], [output]; grammar documented in the
-README).  Results are written as a CSV table, one row per sweep point, with a
-versioned header comment, and optionally a JSON sidecar carrying a canonical
-echo of the parsed config plus detected features (peaks, gap minima,
-exceptional-point locations).
+A run is described by an INI-style config file whose sections and keys are
+the `GRAMMAR` table (documented in the README).  Results are written as a CSV
+table, one row per sweep point, with a versioned header comment, and
+optionally a JSON sidecar carrying a canonical echo of the parsed config plus
+detected features (peaks, gap minima, exceptional-point locations).
 
 Exit codes: 0 success; 1 config error (diagnostic names the first invalid
-field); 2 numerical failure (diagnostic names the sweep point, or the column
-or feature holding a NaN or infinity; nothing is written).
+field, or the command line, the config file or the output path at fault);
+2 numerical failure (diagnostic names the sweep point, or the column or
+feature holding a NaN or infinity; nothing is written).
 """
 
 from __future__ import annotations
@@ -46,16 +46,22 @@ CSV_SCHEMA = 1
 # Bounds every sweep: a 10^6-point eig-sweep takes about 18 s and 390 MB RSS on 2 vCPUs.
 MAX_SWEEP_POINTS = 10**6
 
-_KNOWN_KEYS = {
-    "run": {"mode"},
-    "system": {"kappa", "gamma1", "gamma2", "g1", "g2", "s"},
-    "sweep": {"variable", "min", "max", "points"},
-    "drive": {"amplitude", "power", "frequency"},
-    "dynamics": {"t_end", "dt", "delta"},
-    "ep": {"model"},
-    "si": {"kappa_hz"},
-    "output": {"path", "format"},
+# The config grammar: per section, the modes whose configs may carry it and
+# its keys with their types, in check and render order.
+GRAMMAR = {
+    "run": (MODES, {"mode": str}),
+    "system": (MODES, {"kappa": float, "gamma1": float, "gamma2": float, "g1": float, "g2": float, "s": float}),
+    "sweep": (tuple(SWEEP_MODES), {"variable": str, "min": float, "max": float, "points": int}),
+    "drive": (MODES, {"amplitude": float, "power": float, "frequency": float}),
+    "dynamics": (("dynamics",), {"t_end": float, "dt": float, "delta": float}),
+    "ep": (("ep-find",), {"model": str}),
+    "si": (MODES, {"kappa_hz": float}),
+    "output": (MODES, {"path": str, "format": str}),
 }
+# The SI column appended when [si] kappa_hz is given: column 0 times kappa_hz,
+# or divided by it for the times of a dynamics run.
+_SI_HEADERS = {"eig-sweep": "s_hz", "ep-find": "s_ep_hz", "response-sweep": "delta_hz",
+               "reflection-sweep": "delta_hz", "adiabatic-compare": "s_hz", "dynamics": "t_seconds"}
 
 
 class ConfigError(ValueError):
@@ -87,23 +93,6 @@ class RunConfig:
     output_format: str = "both"
 
 
-def _parse_float(section: str, key: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}", f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}", f"must be finite, got {text!r}")
-    return value
-
-
-def _parse_int(section: str, key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}", f"not an integer: {text!r}") from None
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate config text; defaults target the bad-cavity regime.
 
@@ -113,7 +102,8 @@ def parse_config(text: str) -> RunConfig:
     giving both routes, or power without frequency, is rejected rather than
     silently resolved.
     """
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    # No default section: a [DEFAULT] header is one more unknown section.
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",), default_section="")
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -124,20 +114,40 @@ def parse_config(text: str) -> RunConfig:
         where = f" at line {lineno}" if lineno is not None else ""
         raise ConfigError("config", f"parse error{where}: {summary}") from None
 
+    texts = {}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in GRAMMAR:
             raise ConfigError(section, "unknown section")
         for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if key not in GRAMMAR[section][1]:
                 raise ConfigError(f"{section}.{key}", "unknown key")
         for key, raw in parser[section].items():
             if raw.strip() == "":
                 raise ConfigError(f"{section}.{key}", "empty value")
+        texts[section] = {key: raw.strip() for key, raw in parser[section].items()}
 
-    def get(section: str, key: str) -> str | None:
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key].strip()
-        return None
+    def get(section: str, key: str):
+        """The value of section.key as its grammar type, or None when absent."""
+        text = texts.get(section, {}).get(key)
+        kind = GRAMMAR[section][1][key]
+        if text is None or kind is str:
+            return text
+        try:
+            value = kind(text)
+        except ValueError:
+            noun = "a number" if kind is float else "an integer"
+            raise ConfigError(f"{section}.{key}", f"not {noun}: {text!r}") from None
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{section}.{key}", f"must be finite, got {text!r}")
+        return value
+
+    def used(section: str, unused: str) -> bool:
+        """Whether the mode uses `section`; a section it does not use is rejected."""
+        if mode in GRAMMAR[section][0]:
+            return True
+        if section in texts:
+            raise ConfigError(section, unused)
+        return False
 
     mode = get("run", "mode")
     if mode is None:
@@ -145,11 +155,7 @@ def parse_config(text: str) -> RunConfig:
     if mode not in MODES:
         raise ConfigError("run.mode", f"unknown mode {mode!r} (expected one of {', '.join(MODES)})")
 
-    system_kwargs = {}
-    for key in ("kappa", "gamma1", "gamma2", "g1", "g2", "s"):
-        raw = get("system", key)
-        if raw is not None:
-            system_kwargs[key] = _parse_float("system", key, raw)
+    system_kwargs = {key: value for key in GRAMMAR["system"][1] if (value := get("system", key)) is not None}
     try:
         system = SystemParams(**system_kwargs)
     except ValueError as exc:
@@ -157,57 +163,44 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"system.{offending}", str(exc)) from None
 
     sweep_variable = sweep_min = sweep_max = sweep_points = None
-    expected_var = SWEEP_MODES.get(mode)
-    if expected_var is not None:
-        if not parser.has_section("sweep"):
+    if used("sweep", f"not used by mode {mode}"):
+        if "sweep" not in texts:
             raise ConfigError("sweep", f"missing section (required for mode {mode})")
+        expected_var = SWEEP_MODES[mode]
         sweep_variable = get("sweep", "variable") or expected_var
         if sweep_variable != expected_var:
             raise ConfigError(
                 "sweep.variable",
                 f"must be {expected_var!r} for mode {mode}, got {sweep_variable!r}",
             )
-        raw_min, raw_max, raw_points = get("sweep", "min"), get("sweep", "max"), get("sweep", "points")
-        if raw_min is None:
-            raise ConfigError("sweep.min", "missing")
-        if raw_max is None:
-            raise ConfigError("sweep.max", "missing")
-        if raw_points is None:
-            raise ConfigError("sweep.points", "missing")
-        sweep_min = _parse_float("sweep", "min", raw_min)
-        sweep_max = _parse_float("sweep", "max", raw_max)
-        sweep_points = _parse_int("sweep", "points", raw_points)
+        for key in ("min", "max", "points"):
+            if key not in texts["sweep"]:
+                raise ConfigError(f"sweep.{key}", "missing")
+        sweep_min, sweep_max, sweep_points = get("sweep", "min"), get("sweep", "max"), get("sweep", "points")
         if sweep_points < 2:
             raise ConfigError("sweep.points", f"need at least 2 points, got {sweep_points}")
         if sweep_points > MAX_SWEEP_POINTS:
             raise ConfigError("sweep.points", f"at most {MAX_SWEEP_POINTS} points, got {sweep_points}")
         if sweep_max <= sweep_min:
             raise ConfigError("sweep.max", f"must exceed sweep.min ({sweep_min})")
-    elif parser.has_section("sweep"):
-        raise ConfigError("sweep", f"not used by mode {mode}")
 
-    drive = None
-    drive_power = drive_frequency = None
-    amplitude_raw = get("drive", "amplitude")
-    power_raw = get("drive", "power")
-    frequency_raw = get("drive", "frequency")
-    has_drive_section = parser.has_section("drive")
-    if has_drive_section and amplitude_raw is None and power_raw is None:
+    drive = drive_power = drive_frequency = None
+    routes = texts.get("drive", {}).keys()
+    if "drive" in texts and "amplitude" not in routes and "power" not in routes:
         raise ConfigError("drive", "drive block given without amplitude or power")
-    if amplitude_raw is not None and power_raw is not None:
+    if "amplitude" in routes and "power" in routes:
         raise ConfigError("drive", "both amplitude and power given; choose one")
-    if power_raw is not None and frequency_raw is None:
+    if "power" in routes and "frequency" not in routes:
         raise ConfigError("drive.frequency", "required alongside drive.power")
-    if frequency_raw is not None and power_raw is None:
+    if "frequency" in routes and "power" not in routes:
         raise ConfigError("drive.power", "required alongside drive.frequency")
-    if amplitude_raw is not None:
-        amplitude = _parse_float("drive", "amplitude", amplitude_raw)
+    if "amplitude" in routes:
+        amplitude = get("drive", "amplitude")
         if amplitude < 0:
             raise ConfigError("drive.amplitude", "must be non-negative")
         drive = DriveParams(delta=0.0, amplitude=amplitude)
-    elif power_raw is not None:
-        drive_power = _parse_float("drive", "power", power_raw)
-        drive_frequency = _parse_float("drive", "frequency", frequency_raw)
+    elif "power" in routes:
+        drive_power, drive_frequency = get("drive", "power"), get("drive", "frequency")
         try:
             amplitude = drive_amplitude_from_power(drive_power, drive_frequency)
         except ValueError as exc:
@@ -218,15 +211,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("drive", f"required for mode {mode}")
 
     t_end = dt = None
-    if mode == "dynamics":
-        t_end_raw = get("dynamics", "t_end")
-        t_end = _parse_float("dynamics", "t_end", t_end_raw) if t_end_raw is not None else None
-        dt_raw = get("dynamics", "dt")
-        dt = _parse_float("dynamics", "dt", dt_raw) if dt_raw is not None else None
-        delta_raw = get("dynamics", "delta")
-        if delta_raw is not None and drive is not None:
-            drive = DriveParams(delta=_parse_float("dynamics", "delta", delta_raw),
-                                amplitude=drive.amplitude)
+    if used("dynamics", f"not used by mode {mode}"):
+        t_end, dt, delta = get("dynamics", "t_end"), get("dynamics", "dt"), get("dynamics", "delta")
+        if delta is not None:
+            drive = replace(drive, delta=delta)
         if t_end is None:
             reduced = build_adiabatic_model(system)
             gt_min = min(reduced.gamma_tilde1, reduced.gamma_tilde2)
@@ -243,22 +231,14 @@ def parse_config(text: str) -> RunConfig:
             dynamics.step_count(t_end, dt)
         except ValueError as exc:
             raise ConfigError("dynamics.t_end", f"{exc} (t_end = {t_end:.6g}, dynamics.dt = {dt:.6g})") from None
-    elif parser.has_section("dynamics"):
-        raise ConfigError("dynamics", f"not used by mode {mode}")
 
     ep_model = get("ep", "model") or "adiabatic"
-    if mode == "ep-find":
-        if ep_model not in ("adiabatic", "full"):
-            raise ConfigError("ep.model", f"must be 'adiabatic' or 'full', got {ep_model!r}")
-    elif parser.has_section("ep"):
-        raise ConfigError("ep", "only used by mode ep-find")
+    if used("ep", "only used by mode ep-find") and ep_model not in ("adiabatic", "full"):
+        raise ConfigError("ep.model", f"must be 'adiabatic' or 'full', got {ep_model!r}")
 
-    kappa_hz = None
-    kappa_hz_raw = get("si", "kappa_hz")
-    if kappa_hz_raw is not None:
-        kappa_hz = _parse_float("si", "kappa_hz", kappa_hz_raw)
-        if kappa_hz <= 0:
-            raise ConfigError("si.kappa_hz", "must be positive")
+    kappa_hz = get("si", "kappa_hz")
+    if kappa_hz is not None and kappa_hz <= 0:
+        raise ConfigError("si.kappa_hz", "must be positive")
 
     output_path = get("output", "path") or f"{mode}.csv"
     output_format = get("output", "format") or "both"
@@ -290,43 +270,28 @@ def _fmt(value: float) -> str:
 
 def render_config(config: RunConfig) -> str:
     """Canonical config text; parse_config(render_config(c)) == c."""
-    lines = ["[run]", f"mode = {config.mode}", "", "[system]"]
-    p = config.system
-    for key in ("kappa", "gamma1", "gamma2", "g1", "g2", "s"):
-        lines.append(f"{key} = {_fmt(getattr(p, key))}")
-    if config.sweep_variable is not None:
-        lines += [
-            "",
-            "[sweep]",
-            f"variable = {config.sweep_variable}",
-            f"min = {_fmt(config.sweep_min)}",
-            f"max = {_fmt(config.sweep_max)}",
-            f"points = {config.sweep_points}",
-        ]
-    if config.drive is not None:
-        lines += ["", "[drive]"]
-        if config.drive_power is not None:
-            lines.append(f"power = {_fmt(config.drive_power)}")
-            lines.append(f"frequency = {_fmt(config.drive_frequency)}")
-        else:
-            lines.append(f"amplitude = {_fmt(config.drive.amplitude)}")
-    if config.mode == "dynamics":
-        lines += ["", "[dynamics]", f"t_end = {_fmt(config.t_end)}", f"dt = {_fmt(config.dt)}"]
-        if config.drive is not None and config.drive.delta != 0.0:
-            lines.append(f"delta = {_fmt(config.drive.delta)}")
-    if config.mode == "ep-find":
-        lines += ["", "[ep]", f"model = {config.ep_model}"]
-    if config.kappa_hz is not None:
-        lines += ["", "[si]", f"kappa_hz = {_fmt(config.kappa_hz)}"]
-    lines += ["", "[output]", f"path = {config.output_path}", f"format = {config.output_format}"]
-    return "\n".join(lines) + "\n"
-
-
-def _si_column(config: RunConfig, header: str, values) -> tuple[list[str], list]:
-    """Optional extra column converting the sweep axis to SI units."""
-    if config.kappa_hz is None:
-        return [], []
-    return [header], [np.asarray(values) * config.kappa_hz]
+    drive = config.drive
+    values = {
+        "run": {"mode": config.mode},
+        "system": vars(config.system),
+        "sweep": {"variable": config.sweep_variable, "min": config.sweep_min, "max": config.sweep_max,
+                  "points": config.sweep_points},
+        # The drive route the config gave: amplitude, or power + frequency.
+        "drive": {"amplitude": drive.amplitude if drive is not None and config.drive_power is None else None,
+                  "power": config.drive_power, "frequency": config.drive_frequency},
+        "dynamics": {"t_end": config.t_end, "dt": config.dt,
+                     "delta": drive.delta if drive is not None and drive.delta != 0.0 else None},
+        "ep": {"model": config.ep_model},
+        "si": {"kappa_hz": config.kappa_hz},
+        "output": {"path": config.output_path, "format": config.output_format},
+    }
+    blocks = []
+    for section, (modes, keys) in GRAMMAR.items():
+        lines = [f"{key} = {_fmt(values[section][key]) if kind is float else values[section][key]}"
+                 for key, kind in keys.items() if values[section][key] is not None]
+        if config.mode in modes and lines:
+            blocks.append("\n".join([f"[{section}]", *lines]))
+    return "\n\n".join(blocks) + "\n"
 
 
 def _run_eig_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
@@ -343,13 +308,12 @@ def _run_eig_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
     i_min = int(np.argmin(gaps))
     headers = ["s", "re_l0", "im_l0", "re_lp", "im_lp", "re_lm", "im_lm"]
     columns = [s, l0.real, l0.imag, lp.real, lp.imag, lm.real, lm.imag]
-    extra_h, extra_c = _si_column(config, "s_hz", s)
     features = {
         "min_gap": float(gaps[i_min]),
         "min_gap_s": float(s[i_min]),
         "ambiguous_spans": [list(span) for span in branch_set.ambiguous_spans],
     }
-    return headers + extra_h, columns + extra_c, features
+    return headers, columns, features
 
 
 def _run_ep_find(config: RunConfig) -> tuple[list[str], list, dict]:
@@ -363,14 +327,13 @@ def _run_ep_find(config: RunConfig) -> tuple[list[str], list, dict]:
         np.array([point.degenerate_value.imag]),
         np.array([point.gap_at_location]),
     ]
-    extra_h, extra_c = _si_column(config, "s_ep_hz", columns[0])
     features = {
         "model": config.ep_model,
         "s_ep": point.location,
         "degenerate_value": [point.degenerate_value.real, point.degenerate_value.imag],
         "gap": point.gap_at_location,
     }
-    return headers + extra_h, columns + extra_c, features
+    return headers, columns, features
 
 
 def _run_response_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
@@ -386,9 +349,8 @@ def _run_response_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
         deltas, a.real, a.imag, m1.real, m1.imag, m2.real, m2.imag,
         sweep.total_spincurrent, dark.real, dark.imag,
     ]
-    extra_h, extra_c = _si_column(config, "delta_hz", deltas)
     features = {"peaks": [{"delta": d, "height": h} for d, h in sweep.peaks]}
-    return headers + extra_h, columns + extra_c, features
+    return headers, columns, features
 
 
 def _run_reflection_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
@@ -402,7 +364,6 @@ def _run_reflection_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
     i_zero = int(np.argmin(np.abs(deltas)))
     headers = ["delta", "re_r", "im_r", "abs2_r", "re_t", "im_t", "abs2_t"]
     columns = [deltas, r.real, r.imag, abs2_r, t.real, t.imag, abs2_t]
-    extra_h, extra_c = _si_column(config, "delta_hz", deltas)
     features = {
         "reflection_dip": {"delta": float(deltas[i_dip]), "abs2_r": float(abs2_r[i_dip])},
         "nearest_zero_detuning": {
@@ -411,7 +372,7 @@ def _run_reflection_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
             "abs2_t": float(abs2_t[i_zero]),
         },
     }
-    return headers + extra_h, columns + extra_c, features
+    return headers, columns, features
 
 
 def _run_adiabatic_compare(config: RunConfig) -> tuple[list[str], list, dict]:
@@ -437,13 +398,12 @@ def _run_adiabatic_compare(config: RunConfig) -> tuple[list[str], list, dict]:
         full.sweep_values, fp.real, fp.imag, fm.real, fm.imag,
         ap.real, ap.imag, am.real, am.imag, err,
     ]
-    extra_h, extra_c = _si_column(config, "s_hz", full.sweep_values)
     features = {
         "max_eigenvalue_error": float(err.max()),
         "max_eigenvalue_error_s": float(full.sweep_values[int(np.argmax(err))]),
         "induced_rate": build_adiabatic_model(config.system).induced_rate,
     }
-    return headers + extra_h, columns + extra_c, features
+    return headers, columns, features
 
 
 def _run_dynamics(config: RunConfig) -> tuple[list[str], list, dict]:
@@ -466,9 +426,6 @@ def _run_dynamics(config: RunConfig) -> tuple[list[str], list, dict]:
         states[:, 2].real, states[:, 2].imag,
         distance,
     ]
-    if config.kappa_hz is not None:
-        headers.append("t_seconds")
-        columns.append(times / config.kappa_hz)
     features = {
         "dt": trajectory.dt,
         "final_residual": trajectory.final_residual,
@@ -533,6 +490,10 @@ def run(config: RunConfig) -> list[str]:
     # below report; numpy's own warnings would only bury that diagnostic.
     with np.errstate(over="ignore", invalid="ignore"):
         headers, columns, features = _RUNNERS[config.mode](config)
+        if config.kappa_hz is not None:
+            headers.append(_SI_HEADERS[config.mode])
+            scale = np.divide if config.mode == "dynamics" else np.multiply
+            columns.append(scale(columns[0], config.kappa_hz))
     for header, column in zip(headers, columns):
         if not np.all(np.isfinite(column)):
             raise ValueError(f"non-finite values in column {header}; nothing written")
@@ -579,8 +540,15 @@ def _first_singular_point(config: RunConfig) -> str:
     return "unknown sweep point"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a config error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError("command line", message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cavity-magnons",
         description="Eigenvalue, response, scattering and dynamics sweeps for "
         "two magnon modes coupled to a lossy microwave cavity.",
@@ -588,31 +556,36 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to the run configuration file")
     parser.add_argument("--output", help="override the output path from the config")
     parser.add_argument("--format", choices=FORMATS, help="override the output format")
-    args = parser.parse_args(argv)
-
-    if args.config is None:
-        print("config error: config: no --config file given", file=sys.stderr)
-        return 1
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"config error: config: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        args = parser.parse_args(argv)
+        if args.config is None:
+            raise ConfigError("config", "no --config file given")
+        try:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("config", str(exc)) from None
         config = parse_config(text)
+        if args.output is not None:
+            config = replace(config, output_path=args.output)
+            # The sidecar's config_text has to re-parse to this very run.
+            try:
+                valid = parse_config(render_config(config)) == config
+            except ConfigError:
+                valid = False
+            if not valid:
+                raise ConfigError("output.path", f"not a valid config value: {args.output!r}")
+        if args.format is not None:
+            config = replace(config, output_format=args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    if args.output is not None:
-        config = replace(config, output_path=args.output)
-    if args.format is not None:
-        config = replace(config, output_format=args.format)
-
     try:
         written = run(config)
+    except OSError as exc:
+        print(f"config error: output.path: {exc}", file=sys.stderr)
+        return 1
     except np.linalg.LinAlgError:
         print(
             f"numerical error: singular steady-state system at {_first_singular_point(config)}",

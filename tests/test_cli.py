@@ -2,14 +2,19 @@
 
 import json
 import math
+import os
+import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavitymagnons
 from cavitymagnons.cli import (
+    GRAMMAR,
     MAX_SWEEP_POINTS,
     ConfigError,
     RunConfig,
@@ -108,6 +113,7 @@ class TestParseConfig:
         ("[run]\nmode = eig-sweep\nengine = warp\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n", "run.engine"),
         ("[run]\nmode = dynamics\n[drive]\npower = 1e-3\nfrequency = -5\n", "drive.frequency"),
         ("[run]\nmode = dynamics\n[drive]\npower = 1e-3\nfrequency = 0\n", "drive.frequency"),
+        ("[DEFAULT]\nkappa = 2\n[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n", "DEFAULT"),
     ])
     def test_errors_name_the_first_invalid_field(self, snippet, field):
         with pytest.raises(ConfigError) as err:
@@ -200,6 +206,18 @@ class TestParseConfig:
         ):
             config = parse_config(text)
             assert parse_config(render_config(config)) == config
+
+    def test_readme_config_block_names_the_grammar(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        named = {}
+        for line in block.splitlines():
+            if section := re.match(r"\[(\w+)\]", line):
+                keys = named[section[1]] = set()
+            # A commented-out key (the power route of [drive]) counts as a key.
+            elif key := re.match(r"#?\s*(\w+) =", line):
+                keys.add(key[1])
+        assert named == {section: set(keys) for section, (_, keys) in GRAMMAR.items()}
 
 
 class TestRenderCsv:
@@ -351,6 +369,37 @@ class TestMainExitCodes:
         assert override.exists()
         assert not (tmp_path / "ignored.csv").exists()
         assert not (tmp_path / "other.json").exists()
+
+    @pytest.mark.parametrize("args,diagnostic", [
+        (["--config", "not_utf8.cfg"], "config error: config: 'utf-8' codec can't decode"),
+        (["--config", "run.cfg", "--format", "xml"], "config error: command line: argument --format"),
+        (["--config", "run.cfg", "--verbose"], "config error: command line: unrecognized arguments"),
+        (["--config", "run.cfg", "--output", "nodir/x.csv"], "config error: output.path: "),
+        # Paths a config file cannot carry: the sidecar's config_text would not re-parse to the run.
+        (["--config", "run.cfg", "--output", ""], "config error: output.path: "),
+        (["--config", "run.cfg", "--output", " sp.csv"], "config error: output.path: "),
+        (["--config", "run.cfg", "--output", "x #y.csv"], "config error: output.path: "),
+    ], ids=["not-utf8", "format-xml", "unknown-flag", "missing-directory", "empty-output", "spaced-output",
+            "commented-output"])
+    def test_bad_command_lines_are_config_errors(self, tmp_path, args, diagnostic):
+        (tmp_path / "run.cfg").write_text(EIG_CONFIG.format(path="out.csv"))
+        (tmp_path / "not_utf8.cfg").write_bytes(b"\xff\xfe[run]\nmode = eig-sweep\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cavitymagnons", *args], cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cavitymagnons.__file__).parents[1])},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.endswith("\n")
+        assert proc.stderr.startswith(diagnostic)
+        assert proc.stdout == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["not_utf8.cfg", "run.cfg"]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_missing_config_file(self, capsys):
         assert main(["--config", "/nonexistent/run.cfg"]) == 1

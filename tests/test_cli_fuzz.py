@@ -1,10 +1,12 @@
 """Grammar fuzz test: every config the grammar can express ends in exit 0, 1 or 2.
 
-Configs are drawn from the config grammar (every mode, both EP models, both
-drive routes, extreme finite floats, counts on both sides of the sweep-point
-and step budgets) and run through `python -m cavitymagnons`.  One child
-process under a time limit and a 2 GB address space runs a whole batch of
-them, each in a fresh warning-filter state as a new process would have.
+Configs are drawn from the sections and keys of the grammar table
+`cli.GRAMMAR`, with a typical value per field (every mode, both EP models,
+both drive routes, extreme finite floats, counts on both sides of the
+sweep-point and step budgets), and run through `python -m cavitymagnons`.
+One child process under a time limit and a 2 GB address space runs a whole
+batch of them, each in a fresh warning-filter state as a new process would
+have.
 """
 
 import json
@@ -15,7 +17,7 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavitymagnons.cli import FORMATS, MAX_SWEEP_POINTS, MODES, SWEEP_MODES
+from cavitymagnons.cli import FORMATS, GRAMMAR, MAX_SWEEP_POINTS, MODES, SWEEP_MODES
 from cavitymagnons.dynamics import MAX_STEPS
 
 from conftest import couplings, kappas, rates, splittings
@@ -76,50 +78,64 @@ def _count(draw, typical, limit):
     return draw(st.one_of(st.integers(limit + 1, 10**15), st.integers(-3, 1)))
 
 
+def _optional(strategy):
+    """The strategy's text, or None (the key is left out)."""
+    return st.one_of(st.none(), strategy)
+
+
+@st.composite
+def _typical_texts(draw, mode):
+    """Config text per grammar field for one run of `mode`; None leaves the key out."""
+    route = draw(st.sampled_from(("amplitude", "power", None)))
+    dt = draw(_optional(_number(st.floats(1e-3, 0.1))))
+    if dt is not None and draw(st.booleans()):
+        # t_end/dt steps, rounded: a count on either side of the budget.
+        t_end = repr(float(dt) * draw(_count(st.integers(1, 2000), MAX_STEPS)))
+    else:
+        t_end = draw(_optional(_number(st.floats(0.1, 100.0))))
+    return {
+        ("run", "mode"): mode,
+        ("system", "kappa"): draw(_optional(_number(kappas))),
+        ("system", "gamma1"): draw(_optional(_number(rates))),
+        ("system", "gamma2"): draw(_optional(_number(rates))),
+        ("system", "g1"): draw(_optional(_number(couplings))),
+        ("system", "g2"): draw(_optional(_number(couplings))),
+        ("system", "s"): draw(_optional(_number(splittings))),
+        ("sweep", "variable"): draw(_optional(st.just(SWEEP_MODES.get(mode)))),
+        ("sweep", "min"): draw(_number(st.floats(-1.0, -0.01))),
+        ("sweep", "max"): draw(_number(st.floats(0.01, 1.0))),
+        ("sweep", "points"): str(draw(_count(st.integers(2, 300), MAX_SWEEP_POINTS))),
+        ("drive", "amplitude"): draw(_number(st.floats(0.0, 2.0))) if route == "amplitude" else None,
+        ("drive", "power"): draw(_number(st.floats(0.0, 1e-3))) if route == "power" else None,
+        ("drive", "frequency"): draw(_number(st.floats(1e9, 1e11))) if route == "power" else None,
+        ("dynamics", "t_end"): t_end,
+        ("dynamics", "dt"): dt,
+        ("dynamics", "delta"): draw(_optional(_number(st.floats(-1.0, 1.0)))),
+        ("ep", "model"): draw(st.sampled_from(("adiabatic", "full"))),
+        ("si", "kappa_hz"): draw(_optional(_number(st.floats(1e3, 1e9)))),
+        ("output", "path"): "@OUT@",
+        ("output", "format"): draw(st.sampled_from(FORMATS)),
+    }
+
+
 @st.composite
 def config_texts(draw):
+    """A config for a drawn mode: every section and key the grammar lets it carry."""
     mode = draw(st.sampled_from(MODES))
-    sections = {"run": {"mode": mode}, "system": {}}
-    for key, typical in (("kappa", kappas), ("gamma1", rates), ("gamma2", rates),
-                         ("g1", couplings), ("g2", couplings), ("s", splittings)):
-        if draw(st.booleans()):
-            sections["system"][key] = draw(_number(typical))
-    if mode in SWEEP_MODES:
-        sections["sweep"] = {
-            "min": draw(_number(st.floats(-1.0, -0.01))),
-            "max": draw(_number(st.floats(0.01, 1.0))),
-            "points": str(draw(_count(st.integers(2, 300), MAX_SWEEP_POINTS))),
-        }
-    route = draw(st.sampled_from(("amplitude", "power", None)))
-    if route == "amplitude":
-        sections["drive"] = {"amplitude": draw(_number(st.floats(0.0, 2.0)))}
-    elif route == "power":
-        sections["drive"] = {
-            "power": draw(_number(st.floats(0.0, 1e-3))),
-            "frequency": draw(_number(st.floats(1e9, 1e11))),
-        }
-    if mode == "dynamics":
-        keys = sections["dynamics"] = {}
-        if draw(st.booleans()):
-            keys["dt"] = draw(_number(st.floats(1e-3, 0.1)))
-            if draw(st.booleans()):
-                # t_end/dt steps, rounded: a count on either side of the budget.
-                keys["t_end"] = repr(float(keys["dt"]) * draw(_count(st.integers(1, 2000), MAX_STEPS)))
-        elif draw(st.booleans()):
-            keys["t_end"] = draw(_number(st.floats(0.1, 100.0)))
-        if draw(st.booleans()):
-            keys["delta"] = draw(_number(st.floats(-1.0, 1.0)))
-    if mode == "ep-find":
-        sections["ep"] = {"model": draw(st.sampled_from(("adiabatic", "full")))}
-    if draw(st.booleans()):
-        sections["si"] = {"kappa_hz": draw(_number(st.floats(1e3, 1e9)))}
-    sections["output"] = {"path": "@OUT@", "format": draw(st.sampled_from(FORMATS))}
+    texts = draw(_typical_texts(mode))
+    fields = {(section, key) for section, (_, keys) in GRAMMAR.items() for key in keys}
+    assert texts.keys() == fields, f"typical values and grammar fields differ: {texts.keys() ^ fields}"
+    sections = {}
+    for section, (modes, keys) in GRAMMAR.items():
+        given = {key: texts[section, key] for key in keys if texts[section, key] is not None}
+        if mode in modes and given:
+            sections[section] = given
     # One value in ten is not a finite number.
-    if draw(st.integers(0, 9)) == 9:
-        section = draw(st.sampled_from(sorted(name for name in sections if name not in ("run", "output"))))
-        if sections[section]:
-            key = draw(st.sampled_from(sorted(sections[section])))
-            sections[section][key] = draw(st.sampled_from(_JUNK))
+    others = sorted(name for name in sections if name not in ("run", "output"))
+    if others and draw(st.integers(0, 9)) == 9:
+        section = draw(st.sampled_from(others))
+        key = draw(st.sampled_from(sorted(sections[section])))
+        sections[section][key] = draw(st.sampled_from(_JUNK))
     return "".join(
         f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
         for name, keys in sections.items()
