@@ -17,9 +17,16 @@ The EP search also keeps zgeev: at a coalescence each solver splits the double
 root by its own ~sqrt(eps) error, and the kernel's pair mean there differs
 from zgeev's by up to ~7e-10.  Both solvers satisfy the characteristic
 equation to a residual |det(lambda I - H)| <= 1e-9 ||H||^3, which the tests
-check alongside LAPACK, companion-matrix and closed-form oracles.  Branch
-tracking scores the k! assignments between consecutive sweep points in
-fixed-size blocks of array operations.
+check alongside LAPACK, companion-matrix and closed-form oracles.
+
+Branch tracking matches consecutive sweep points by least summed
+displacement.  The cost of an assignment depends on the previous one only
+through the summation order, so each step scores its k! matchings with array
+operations in fixed-size blocks, and only steps whose best and runner-up lie
+within the ambiguity band plus that rounding gap score all k! x k!
+(previous, next) pairs.  A walk over the steps that move off the identity or
+were re-scored then gives the same assignments and flags, bit for bit, as a
+per-step loop over the k! x k! pairs.
 
 An exceptional point is a double eigenvalue, so the search takes the lowest
 real root in its bracket of the discriminant of the characteristic polynomial
@@ -42,12 +49,21 @@ from .model import SystemParams, build_adiabatic_model, build_full_hamiltonian
 # A pair of eigenvalues closer than this (in kappa units) counts as coalesced,
 # and a discriminant root this close to the real axis (in kappa units) counts as real.
 EP_GAP_TOLERANCE = 1e-6
-# Sweep steps that track_branches scores per pass; bounds its (block, k!, k!)
-# cost tensors instead of holding one for the whole sweep.
+# Sweep steps that track_branches scores per pass; bounds its (block, k!)
+# matching scores and (block, k!, k!) re-scoring tensors.
 TRACK_BLOCK_STEPS = 512
+# Rounding bounds that track_branches' skip band adds to the flag band: the
+# relative gap between two summation orders of a matching's k distances, at
+# most (k - 1) * eps, per branch and with room to spare; and a few subnormal
+# units for the absolute rounding of tiny costs and of ambiguity_tol * scale.
+_SUM_ORDER_SLACK = 8.0 * np.finfo(float).eps
+_TINY_SLACK = 4.0 * np.finfo(float).smallest_subnormal
 # Matrices that the closed-form root kernels take per pass; bounds their
 # (k, block) temporaries to about 1 MB, which also keeps them in cache.
 ROOT_BLOCK_ROWS = 1024
+# Real parts this close, relative to the endpoint's largest |s| or |lambda|,
+# tie when EigenBranchSet.magnon_branch_indices labels the +/- pair.
+_LABEL_TIE_EPS = 8.0 * np.finfo(float).eps
 
 
 class ExceptionalPointNotFound(ValueError):
@@ -80,15 +96,24 @@ class EigenBranchSet:
 
         At the sweep endpoint with the largest |s| the magnon-like branches
         have real parts closest to +s and -s; the remaining branch (if any) is
-        cavity-like.  Labels propagate across the sweep by branch continuity.
+        cavity-like.  Real parts that tie to within rounding of the endpoint's
+        scale (both 0 inside an attraction window) go to the narrower branch,
+        the one with the larger imaginary part.  Labels propagate across the
+        sweep by branch continuity.
         """
         k = self.branches.shape[1]
         end = -1 if abs(self.sweep_values[-1]) >= abs(self.sweep_values[0]) else 0
-        s_end = self.sweep_values[end]
-        values = self.branches[end]
-        plus = int(np.argmin(np.abs(values.real - s_end)))
-        rest = [j for j in range(k) if j != plus]
-        minus = rest[int(np.argmin(np.abs(values[rest].real + s_end)))]
+        s_end = float(self.sweep_values[end])
+        values = self.branches[end].tolist()
+        tol = _LABEL_TIE_EPS * max(abs(s_end), *map(abs, values))
+
+        def closest(candidates: list[int], target: float) -> int:
+            distance = [abs(values[j].real - target) for j in candidates]
+            tied = [j for j, d in zip(candidates, distance) if d <= min(distance) + tol]
+            return max(tied, key=lambda j: values[j].imag)
+
+        plus = closest(list(range(k)), s_end)
+        minus = closest([j for j in range(k) if j != plus], -s_end)
         return plus, minus
 
     def cavity_branch_index(self) -> int:
@@ -234,9 +259,17 @@ def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.nda
     ambiguity_tol relative) are reported: there the branches are coalesced and
     either assignment is valid.
 
-    The k! x k! costs (previous assignment, next assignment) of every step are
-    scored with array operations, TRACK_BLOCK_STEPS steps at a time; what is
-    left per step is a walk over the chosen permutation indices.  A single
+    Taking assignment p after q costs sum_j dist[p[j], q[j]] = sum_b
+    dist[sigma(b), b] with sigma = p o q^-1, so up to the summation order the
+    best matching sigma of a step does not depend on q.  Each step scores its
+    k! matchings with array operations, TRACK_BLOCK_STEPS steps at a time.
+    Where the runner-up matching is clear of the best by more than the flag
+    band plus the rounding of any summation order, the step takes sigma o q
+    for every q and is not flagged.  Only the other steps score all k! x k!
+    (q, p) pairs in the reference's summation order, which decides the
+    rounding ties and the flags.  What is left per step is a walk over the
+    "events" (steps that re-score or move off the identity) through byte
+    tables; the rows between events keep the previous assignment.  A single
     branch needs no matching and comes back unchanged.
     """
     raw = np.asarray(raw, dtype=complex)
@@ -245,34 +278,64 @@ def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.nda
         return raw.copy(), []
     perms = np.array(list(itertools.permutations(range(k))))
     n_perms = len(perms)
-    # choice[i, q]: permutation taken at step i when step i - 1 took q, and
-    # flagged[i, q]: whether that choice was ambiguous.
-    choice = np.zeros((n, n_perms), dtype=np.uint8)
-    flagged = np.zeros((n, n_perms), dtype=np.uint8)
+    index = {perm: i for i, perm in enumerate(map(tuple, perms))}
+    # compose[sigma, q]: the assignment sigma o q, i.e. q followed by the matching sigma.
+    compose = np.array([[index[tuple(sigma[q])] for q in perms] for sigma in perms], dtype=np.uint8)
+    slack = _SUM_ORDER_SLACK * k
+    slots = raw.T.copy()  # (k, n): each raw slot contiguous along the sweep
+    modulus = np.maximum(np.abs(slots).max(axis=0), 1e-300)  # largest |raw| per point
+    # Per event step: rows[q] is the assignment taken after q, flags[q] whether it is ambiguous.
+    event_steps, event_rows, event_flags = [], [], []
     for start in range(1, n, TRACK_BLOCK_STEPS):
         stop = min(start + TRACK_BLOCK_STEPS, n)
-        step = raw[start:stop, :, None] - raw[start - 1:stop - 1, None, :]
-        # dist[i, a, b] = |raw[i, a] - raw[i - 1, b]|; hypot, like abs() of a
+        step = slots[:, None, start:stop] - slots[None, :, start - 1:stop - 1]
+        # dist[a, b, i] = |raw[i, a] - raw[i - 1, b]|; hypot, like abs() of a
         # complex scalar, keeps the costs bitwise equal to per-step scoring.
         dist = np.hypot(step.real, step.imag)
-        # costs[i, q, p] = sum over j of dist[i, p[j], q[j]], summed in j order.
-        costs = dist[:, perms[None, :, 0], perms[:, None, 0]]
-        for j in range(1, k):
-            costs = costs + dist[:, perms[None, :, j], perms[:, None, j]]
-        low = np.partition(costs, 1, axis=2)
-        best, runner_up = low[..., 0], low[..., 1]
-        scale = np.maximum(np.maximum(best, np.abs(raw[start:stop]).max(axis=1)[:, None]), 1e-300)
-        choice[start:stop] = np.argmin(costs, axis=2)
-        flagged[start:stop] = runner_up - best <= ambiguity_tol * scale
-    choice_bytes, flagged_bytes = choice.tobytes(), flagged.tobytes()
-    taken = [0] * n  # permutation index per sweep point; 0 is the identity
-    ambiguous_steps: list[int] = []
-    for i in range(1, n):
-        offset = i * n_perms + taken[i - 1]
-        if flagged_bytes[offset]:
+        # match[sigma, i] = sum over b of dist[sigma[b], b, i], summed in b order.
+        match = dist[perms[:, 0], 0]
+        for b in range(1, k):
+            match = match + dist[perms[:, b], b]
+        best = match.min(axis=0)
+        flag_band = ambiguity_tol * (1.0 + slack) * np.maximum(best, modulus[start:stop])
+        # A step is clear when only its best matching lies within the band:
+        # runner_up - best > slack * (best + runner_up) + flag_band.
+        threshold = (best * (1.0 + slack) + flag_band + _TINY_SLACK) / (1.0 - slack)
+        rescore = (match <= threshold).sum(axis=0) != 1  # also where a cost is not finite
+        event = rescore | (match[0] != best)
+        rows = compose[match[:, event].argmin(axis=0)]
+        flags = np.zeros_like(rows)
+        if rescore.any():
+            # costs[i, q, p] = sum over j of dist[p[j], q[j], i], summed in j order.
+            tied = dist[:, :, rescore].transpose(2, 0, 1)
+            costs = tied[:, perms[None, :, 0], perms[:, None, 0]]
+            for j in range(1, k):
+                costs = costs + tied[:, perms[None, :, j], perms[:, None, j]]
+            low = np.partition(costs, 1, axis=2)
+            top = np.abs(raw[start:stop][rescore]).max(axis=1)
+            scale = np.maximum(np.maximum(low[..., 0], top[:, None]), 1e-300)
+            again = rescore[event]
+            rows[again] = np.argmin(costs, axis=2)
+            flags[again] = low[..., 1] - low[..., 0] <= ambiguity_tol * scale
+        event_steps.append(np.flatnonzero(event) + start)
+        event_rows.append(rows.tobytes())
+        event_flags.append(flags.tobytes())
+    steps = np.concatenate(event_steps).tolist() if event_steps else []
+    row_bytes, flag_bytes = b"".join(event_rows), b"".join(event_flags)
+    # Walk the events: the assignment (0 is the identity) and flag at each one
+    # follow from the previous event's assignment.
+    taken, values, ambiguous_steps = 0, [], []
+    for e, i in enumerate(steps):
+        offset = e * n_perms + taken
+        if flag_bytes[offset]:
             ambiguous_steps.append(i)
-        taken[i] = choice_bytes[offset]
-    tracked = np.take_along_axis(raw, perms[taken], axis=1)
+        taken = row_bytes[offset]
+        values.append(taken)
+    # Each row keeps the assignment of the last event at or before it.
+    taken_at, last_event = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    taken_at[steps], last_event[steps] = values, steps
+    np.maximum.accumulate(last_event, out=last_event)
+    tracked = np.take_along_axis(raw, perms.take(taken_at.take(last_event), axis=0), axis=1)
     return tracked, ambiguous_steps
 
 

@@ -114,6 +114,8 @@ class TestParseConfig:
         ("[run]\nmode = dynamics\n[drive]\npower = 1e-3\nfrequency = -5\n", "drive.frequency"),
         ("[run]\nmode = dynamics\n[drive]\npower = 1e-3\nfrequency = 0\n", "drive.frequency"),
         ("[DEFAULT]\nkappa = 2\n[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n", "DEFAULT"),
+        ("[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n[output]\npath = out\n  more.csv\n",
+         "output.path"),
     ])
     def test_errors_name_the_first_invalid_field(self, snippet, field):
         with pytest.raises(ConfigError) as err:
@@ -319,6 +321,24 @@ class TestRunModes:
         sidecar = json.loads((tmp_path / "cmp.json").read_text())
         assert sidecar["features"]["max_eigenvalue_error"] == pytest.approx(0.0186, abs=2e-3)
         assert sidecar["features"]["induced_rate"] == pytest.approx(0.04)
+
+    def test_attraction_window_labels_the_narrow_branch_plus(self, tmp_path):
+        # The whole sweep lies inside the reduced attraction window |s| < g^2/kappa = 4,
+        # so both reduced real parts are 0 at the endpoint: the tie goes to the
+        # narrower branch (larger Im), on every row by continuity.
+        out = tmp_path / "cmp.csv"
+        text = (
+            "[run]\nmode = adiabatic-compare\n[system]\ngamma1 = 1\ngamma2 = 1\ng1 = 2\ng2 = 2\n"
+            "[sweep]\nmin = -0.2\nmax = 0.2\npoints = 481\n"
+            f"[output]\npath = {out}\nformat = csv\n"
+        )
+        run(parse_config(text))
+        headers, rows = read_csv(out)
+        column = {name: rows[:, i] for i, name in enumerate(headers)}
+        assert np.all(column["re_adia_p"] == 0) and np.all(column["re_adia_m"] == 0)
+        assert np.all(column["im_adia_p"] > column["im_adia_m"])
+        assert column["im_adia_p"][-1] == pytest.approx(-1.005, abs=1e-3)
+        assert column["im_adia_m"][-1] == pytest.approx(-8.995, abs=1e-3)
 
     def test_dynamics_mode(self, tmp_path):
         out = tmp_path / "dyn.csv"
@@ -565,6 +585,32 @@ class TestMainExitCodes:
         values = rows[:, 1::2] + 1j * rows[:, 2::2]
         dark = values[np.arange(11), np.argmin(np.abs(values), axis=1)]
         assert np.abs(dark + 0.01j).max() <= 1e-12
+
+    def test_huge_coupling_response_sweep_stays_finite(self, tmp_path):
+        # g = 1e200: g^2 in det(H - delta) overflows unless the matrix is scaled first.
+        out = tmp_path / "out.csv"
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("[run]\nmode = response-sweep\n[system]\ng1 = 1e200\ng2 = 1e200\n"
+                               "[sweep]\nvariable = delta\nmin = -1\nmax = 1\npoints = 11\n"
+                               f"[drive]\namplitude = 1\n[output]\npath = {out}\nformat = csv\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cavitymagnons", "--config", str(config_path)],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        _, rows = read_csv(out)
+        assert rows.shape == (11, 10)
+        assert np.isfinite(rows).all()
+        # Each magnon sees the cavity through g, so |m1| ~ |m2| ~ 1/g.
+        assert 0 < np.abs(rows[:, 3:7]).max() < 1e-199
+
+    def test_multi_line_output_path_writes_nothing(self, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n"
+                               f"[output]\npath = {tmp_path / 'out'}\n  more.csv\nformat = both\n")
+        assert main(["--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: output.path: control character")
+        assert list(tmp_path.iterdir()) == [config_path]
 
     def test_dynamics_memory_follows_the_rows(self, tmp_path):
         # 2*10**6 steps: storing every step took 139 MB; only the 2003 written rows are kept now.

@@ -1,6 +1,7 @@
 """Tests for the driven steady state, spincurrent spectra and scattering."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from cavitymagnons.closed_forms import (
     symmetric_response_closed_form,
     zero_detuning_scattering_closed_form,
 )
-from cavitymagnons.model import DriveParams, SystemParams, build_driven_system
+from cavitymagnons.model import DriveParams, SystemParams, build_driven_system, drive_frame_matrices
 from cavitymagnons.response import (
     ResponsePoint,
     reflection_transmission,
@@ -21,6 +22,8 @@ from cavitymagnons.response import (
     spincurrent_spectrum,
     steady_state,
 )
+
+from conftest import system_params_strategy
 
 SQRT2 = math.sqrt(2.0)
 
@@ -92,6 +95,95 @@ class TestSteadyState:
         for field in ("a", "m1", "m2"):
             assert getattr(scaled, field) == pytest.approx(3.0 * getattr(base, field), rel=1e-12, abs=1e-300)
         assert scaled.total_spincurrent == pytest.approx(9.0 * base.total_spincurrent, rel=1e-12, abs=1e-300)
+
+
+def exact_determinant_is_zero(p: SystemParams, delta: float) -> bool:
+    """det(H - delta) = abc - g1^2 c - g2^2 b == 0 in exact rational arithmetic."""
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    f = Fraction
+    a = (-f(delta), -f(p.kappa))
+    b = (f(p.s) - f(delta), -f(p.gamma1))
+    c = (-f(p.s) - f(delta), -f(p.gamma2))
+    abc = mul(a, mul(b, c))
+    g1, g2 = f(p.g1) ** 2, f(p.g2) ** 2
+    return all(abc[i] - g1 * c[i] - g2 * b[i] == 0 for i in (0, 1))
+
+
+def backward_error(p: SystemParams, deltas, states, amplitude: float = 1.0) -> float:
+    """Largest |(H - delta) X + i F| / (|H - delta| |X| + |F|) over the rows, in max-norms.
+
+    Max-norms, because Frobenius norms square entries of 1e200 into overflow.
+    """
+    matrices = drive_frame_matrices(p, np.atleast_1d(np.asarray(deltas, dtype=float)))
+    states = np.atleast_2d(states)
+    force = np.array([math.sqrt(p.kappa) * amplitude, 0.0, 0.0])
+    residual = np.abs(np.einsum("nij,nj->ni", matrices, states) + 1j * force).max(axis=1)
+    scale = np.abs(matrices).max(axis=(1, 2)) * np.abs(states).max(axis=1) + force[0]
+    return float((residual / scale).max())
+
+
+class TestClosedFormResolvent:
+    """The first inverse column of the arrowhead H - delta, in scaled real arithmetic."""
+
+    @given(system_params_strategy(), detunings)
+    @settings(max_examples=300, deadline=None)
+    def test_residual_or_exactly_singular(self, params, delta):
+        try:
+            point = steady_state(params, DriveParams(delta=delta, amplitude=1.0))
+        except np.linalg.LinAlgError as exc:
+            assert exact_determinant_is_zero(params, delta), str(exc)
+            return
+        # Backward stable at any conditioning: the residual is rounding-sized
+        # relative to |H - delta| |X| + |F|.
+        assert backward_error(params, delta, [point.a, point.m1, point.m2]) <= 1e-15
+
+    def test_residual_where_the_lu_solve_loses_it(self):
+        # Rates 300 decades apart: LAPACK's LU solve leaves a residual of order
+        # ||F|| here, the closed form one at rounding level.
+        p = SystemParams(kappa=1e150, gamma1=1e-150, gamma2=1e-150, g1=1e100, g2=1e100, s=1.0)
+        point = steady_state(p, DriveParams(delta=0.0, amplitude=1.0))
+        system = build_driven_system(p, DriveParams(delta=0.0, amplitude=1.0))
+        x = np.array([point.a, point.m1, point.m2])
+        assert np.isfinite(x).all()
+        residual = np.linalg.norm(system.matrix @ x + 1j * system.force)
+        assert residual <= 1e-12 * np.linalg.norm(system.force)
+
+    @pytest.mark.parametrize("params", [
+        SystemParams(g1=1e200, g2=1e200),
+        SystemParams(kappa=1e-300, gamma1=1e-300, gamma2=2e-300, g1=1e-300, g2=3e-300, s=1e-300),
+        SystemParams(kappa=1e150, gamma1=1e-150, gamma2=1e-150, g1=1e100, g2=1e100, s=1.0),
+        # At delta = 0 the magnon entries are +-1e-194: their product underflows
+        # unless the magnon rows are scaled on their own.
+        SystemParams(kappa=1.0, gamma1=0.0, gamma2=0.0, g1=0.0, g2=0.0, s=9.13729233565088e-195),
+    ])
+    def test_extreme_scales_stay_finite_and_equal_their_points(self, params):
+        scale = max(params.kappa, params.g1, abs(params.s))
+        deltas = np.linspace(-3.0, 3.0, 13) * scale
+        sweep = spincurrent_spectrum(params, deltas)
+        assert np.isfinite(sweep.states).all() and np.isfinite(sweep.t).all()
+        assert backward_error(params, deltas, sweep.states) <= 1e-15
+        for i, delta in enumerate(deltas):
+            point = steady_state(params, DriveParams(delta=float(delta)))
+            assert np.array_equal(sweep.states[i], [point.a, point.m1, point.m2]) and sweep.t[i] == point.t
+
+    def test_singular_sweep_names_its_first_singular_detuning(self):
+        # Undamped decoupled magnons at +-0.5: det = abc is exactly 0 at delta = -0.5 and 0.5.
+        p = SystemParams(kappa=1, gamma1=0, gamma2=0, g1=0, g2=0, s=0.5)
+        with pytest.raises(np.linalg.LinAlgError, match=r"^singular steady-state system at delta=-0\.5$"):
+            spincurrent_spectrum(p, np.linspace(-1, 1, 9))
+        assert issubclass(np.linalg.LinAlgError, ValueError)
+
+    def test_no_linear_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        sweep = spincurrent_spectrum(WEAK, np.linspace(-1, 1, 21))
+        delta = float(sweep.deltas[13])
+        assert steady_state(WEAK, DriveParams(delta=delta)) == sweep.points[13]
+        assert reflection_transmission(WEAK, DriveParams(delta=delta)) == (sweep.r[13], sweep.t[13])
 
 
 class TestAnalyticMagnonResponse:

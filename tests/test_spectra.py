@@ -20,6 +20,7 @@ from cavitymagnons.spectra import (
     EP_GAP_TOLERANCE,
     ROOT_BLOCK_ROWS,
     TRACK_BLOCK_STEPS,
+    EigenBranchSet,
     ExceptionalPoint,
     ExceptionalPointNotFound,
     _cubic_roots,
@@ -497,6 +498,21 @@ class TestBranchTracking:
         )
         assert diff.max() < 1e-9
 
+    @pytest.mark.parametrize("noise", [0.0, 2e-16, -2e-16])
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+    def test_real_part_tie_labels_the_narrow_branch_plus(self, noise, order):
+        # Inside an attraction window both real parts are 0 up to rounding;
+        # the labels must not follow the raw order or the sign of that rounding.
+        values = np.array([[noise - 8.995j, -noise - 1.005j]] * 3)[:, order]
+        branch_set = EigenBranchSet(sweep_values=np.array([-0.2, 0.0, 0.2]), branches=values)
+        plus, minus = branch_set.magnon_branch_indices()
+        assert values[-1, plus].imag == -1.005 and values[-1, minus].imag == -8.995
+
+    def test_distinct_real_parts_ignore_the_linewidths(self):
+        values = np.array([[0.1 - 8.0j, -0.1 - 1.0j], [0.3 - 8.0j, -0.3 - 1.0j]])
+        branch_set = EigenBranchSet(sweep_values=np.array([0.0, 0.3]), branches=values)
+        assert branch_set.magnon_branch_indices() == (0, 1)
+
     @given(
         params_strategy,
         st.floats(min_value=1e-3, max_value=6.0),
@@ -539,6 +555,80 @@ class TestBranchTracking:
         # Every step into or out of a coalesced row is flagged; steps between
         # unchanged distinct rows are not.
         assert ambiguous == sorted({i for c in coalesced for i in (c, c + 1) if i < n})
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(BLOCK_EDGE_SIZES),
+           st.sampled_from([1e-9, 0.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_four_branch_walks_match_per_step_reference(self, seed, n, ambiguity_tol):
+        # k = 4: 24 matchings per step.  Half the draws are smooth walks with
+        # an exact coalescence every tenth row, half unstructured clouds.
+        rng = np.random.default_rng(seed)
+        steps = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        if seed % 2:
+            raw = steps
+        else:
+            raw = np.cumsum(0.01 * steps, axis=0)
+            raw[::10, 1] = raw[::10, 0]
+        tracked, ambiguous = track_branches(raw, ambiguity_tol)
+        expected, expected_ambiguous = track_branches_reference(raw, ambiguity_tol)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous
+
+    @given(params_strategy, st.sampled_from(BLOCK_EDGE_SIZES), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_zero_tolerance_matches_per_step_reference(self, params, n, adiabatic):
+        # ambiguity_tol = 0 leaves only the rounding gap between summation
+        # orders to decide which steps take the exact k! x k! scoring.
+        s_values = np.linspace(-3.0, 3.0, n)
+        if adiabatic:
+            raw = _pair_roots(build_adiabatic_model(params, s=s_values).matrix)
+        else:
+            raw = _cubic_roots(build_full_hamiltonian(params, s=s_values))
+        tracked, ambiguous = track_branches(raw, 0.0)
+        expected, expected_ambiguous = track_branches_reference(raw, 0.0)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous
+
+    @pytest.mark.parametrize("ambiguity_tol", [1e-9, 0.0])
+    def test_every_step_tied_across_block_edges(self, ambiguity_tol):
+        # Rows alternate between two distinct values and an exact coalescence,
+        # so every step is tied and takes the exact scoring, in every block.
+        n = 2 * TRACK_BLOCK_STEPS + 3
+        raw = np.tile(np.array([1 + 0j, -1 + 0j, 0.5j]), (n, 1))
+        raw[::2] = [0.2 + 0j, 0.2 + 0j, 0.5j]
+        raw[1::4] = [-1 + 0j, 1 + 0j, 0.5j]
+        tracked, ambiguous = track_branches(raw, ambiguity_tol)
+        expected, expected_ambiguous = track_branches_reference(raw, ambiguity_tol)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous == list(range(1, n))
+
+    def test_rounding_tie_after_a_cycle_matches_per_step_reference(self):
+        # Step 1 takes a 3-cycle; at step 2 two matchings tie in the reference's
+        # summation order (which follows the previous assignment) but not in
+        # the identity order, so only the rounding band sends it to the exact
+        # k! x k! scoring.
+        raw = np.array([
+            [-0.05837138907215449 - 0.5248264370136562j, 1.8533257078420022 - 0.9262439932504336j,
+             2.159980469779012 + 2.6925531473868567j],
+            [1.8523459632088095 - 0.9257607470062884j, 2.15940706776112 + 2.6935821829362947j,
+             -0.058334807562805756 - 0.524435459791986j],
+            [-0.8723830716951919 + 1.876918992454176j, -0.872383071695192 + 1.8769189924541763j,
+             0.24991757985122218 - 1.3369728999172332j],
+        ])
+        tracked, ambiguous = track_branches(raw, 0.0)
+        expected, expected_ambiguous = track_branches_reference(raw, 0.0)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous == [2]
+
+    def test_near_coalescence_inside_the_flag_band(self):
+        # Two branches 2e-11 apart: the best and runner-up matchings differ by
+        # 4e-11, far above rounding but inside the 1e-9 relative flag band.
+        raw = np.tile(np.array([1 + 0j, -1 + 0j, 0.5j]), (5, 1))
+        raw[2] = [0.2 + 1e-11, 0.2 - 1e-11, 0.5j]
+        tracked, ambiguous = track_branches(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous == [2, 3]
 
     def test_near_tie_matches_per_step_reference(self):
         # The two assignments cost the same up to rounding, so the choice
