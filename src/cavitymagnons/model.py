@@ -146,6 +146,22 @@ def build_full_hamiltonian(params: SystemParams, s=None) -> np.ndarray:
     return h
 
 
+def full_entries(params: SystemParams, s: float) -> tuple[tuple[complex, ...], ...]:
+    """Rows of build_full_hamiltonian(params, s=s) for one float s, as Python complex.
+
+    Bit for bit, signed zeros included: the same Python products, then s times
+    diag(0, 1, -1) added entry by entry as numpy adds a float to a complex.
+    """
+    p = params
+    zero = complex(s * 0.0)
+    g1, g2 = complex(p.g1) + zero, complex(p.g2) + zero
+    return (
+        (-1j * p.kappa + zero, g1, g2),
+        (g1, (0.0 - 1j * p.gamma1) + complex(s * 1.0), 0j + zero),
+        (g2, 0j + zero, (-0.0 - 1j * p.gamma2) + complex(s * -1.0)),
+    )
+
+
 def drive_frame_matrices(params: SystemParams, deltas) -> np.ndarray:
     """Drive-frame matrix H - delta*I: 3x3 for a scalar delta, (*deltas.shape, 3, 3) for an array."""
     return build_full_hamiltonian(params) - np.multiply.outer(deltas, _EYE3)
@@ -181,6 +197,12 @@ def drive_amplitude_from_power(power: float, drive_frequency: float) -> float:
     return amplitude
 
 
+def _dressed_rates(p: SystemParams) -> tuple[float, float, float]:
+    """gamma1 + g1**2/kappa, gamma2 + g2**2/kappa and g1*g2/kappa."""
+    # g * g overflows to inf where the float g ** 2 raises OverflowError.
+    return p.gamma1 + p.g1 * p.g1 / p.kappa, p.gamma2 + p.g2 * p.g2 / p.kappa, p.g1 * p.g2 / p.kappa
+
+
 def build_adiabatic_model(params: SystemParams, s=None) -> AdiabaticModel:
     """Eliminate the cavity by slaving it to the magnons (a = -i(g1 m1 + g2 m2)/kappa).
 
@@ -196,12 +218,8 @@ def build_adiabatic_model(params: SystemParams, s=None) -> AdiabaticModel:
     is the (*s.shape, 2, 2) stack over those splittings, as in
     build_full_hamiltonian.
     """
-    p = params
-    # g * g overflows to inf where the float g ** 2 raises OverflowError.
-    gt1 = p.gamma1 + p.g1 * p.g1 / p.kappa
-    gt2 = p.gamma2 + p.g2 * p.g2 / p.kappa
-    rate = p.g1 * p.g2 / p.kappa
-    at = p.s if s is None else 0.0
+    gt1, gt2, rate = _dressed_rates(params)
+    at = params.s if s is None else 0.0
     matrix = np.array(
         [
             [at - 1j * gt1, -1j * rate],
@@ -212,3 +230,15 @@ def build_adiabatic_model(params: SystemParams, s=None) -> AdiabaticModel:
     if s is not None:
         matrix = matrix + np.asarray(s, dtype=float)[..., None, None] * _ADIABATIC_SPLITTING
     return AdiabaticModel(matrix=matrix, induced_rate=rate, gamma_tilde1=gt1, gamma_tilde2=gt2)
+
+
+def adiabatic_entries(params: SystemParams, s: float) -> tuple[complex, complex, complex, complex]:
+    """Entries (a00, a01, a10, a11) of build_adiabatic_model(params, s=s).matrix for one float s.
+
+    Python complex, bit for bit and signed zeros included: the same Python
+    products, then s times diag(1, -1) added entry by entry as numpy adds a
+    float to a complex.
+    """
+    gt1, gt2, rate = _dressed_rates(params)
+    off = -1j * rate + 0j  # the real part of -1j * rate is +0.0, so s * 0.0 would not change it
+    return (0.0 - 1j * gt1) + complex(s * 1.0), off, off, (-0.0 - 1j * gt2) + complex(s * -1.0)

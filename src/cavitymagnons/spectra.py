@@ -30,21 +30,27 @@ per-step loop over the k! x k! pairs.
 
 An exceptional point is a double eigenvalue, so the search takes the lowest
 real root in its bracket of the discriminant of the characteristic polynomial
-in s (a closed-form quadratic for the reduced two-mode model, numpy.roots of a
-degree-6 polynomial for the full one) whose magnon-like pair gap passes
-EP_GAP_TOLERANCE.  There is no iterative search.
+in s whose magnon-like pair gap passes EP_GAP_TOLERANCE.  There is no
+iterative search.  The reduced two-mode model has closed-form roots; the full
+model's discriminant has degree 6, and its coefficients are written-out real
+products, its roots the eigenvalues of its companion matrix, each polished by
+one Newton step.  Apart from that one eigvals call a search runs on Python
+scalars and builds no model arrays: the full model's roots take about 45 us
+where numpy.convolve, numpy.roots and numpy.polyval took about 90 us, and the
+reduced model's 1.5 us where building its matrix took 8 us.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, build_adiabatic_model, build_full_hamiltonian
+from .model import SystemParams, adiabatic_entries, build_adiabatic_model, build_full_hamiltonian, full_entries
 
 # A pair of eigenvalues closer than this (in kappa units) counts as coalesced,
 # and a discriminant root this close to the real axis (in kappa units) counts as real.
@@ -61,6 +67,9 @@ _TINY_SLACK = 4.0 * np.finfo(float).smallest_subnormal
 # Matrices that the closed-form root kernels take per pass; bounds their
 # (k, block) temporaries to about 1 MB, which also keeps them in cache.
 ROOT_BLOCK_ROWS = 1024
+# np.roots' companion matrices by degree: ones on the subdiagonal, the first
+# row left to fill.
+_COMPANION = {m: np.diag(np.ones(m - 1, dtype=complex), -1) for m in range(1, 7)}
 # Real parts this close, relative to the endpoint's largest |s| or |lambda|,
 # tie when EigenBranchSet.magnon_branch_indices labels the +/- pair.
 _LABEL_TIE_EPS = 8.0 * np.finfo(float).eps
@@ -250,6 +259,21 @@ def _scaled_pair_roots(entries: np.ndarray) -> np.ndarray:
     return np.stack([mean + radical, mean - radical])
 
 
+@functools.lru_cache(maxsize=None)
+def _matching_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k! permutations of range(k) (k!, k) in lexicographic order, and their compose table.
+
+    compose[sigma, q] is the index of the assignment sigma o q, i.e. q followed
+    by the matching sigma.  Built once per k and read-only.
+    """
+    perms = np.array(list(itertools.permutations(range(k))))
+    index = {perm: i for i, perm in enumerate(map(tuple, perms))}
+    compose = np.array([[index[tuple(sigma[q])] for q in perms] for sigma in perms], dtype=np.uint8)
+    perms.setflags(write=False)
+    compose.setflags(write=False)
+    return perms, compose
+
+
 def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.ndarray, list[int]]:
     """Assign raw eigenvalues (n, k) to persistent branches by nearest matching.
 
@@ -276,11 +300,8 @@ def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.nda
     n, k = raw.shape
     if k == 1:
         return raw.copy(), []
-    perms = np.array(list(itertools.permutations(range(k))))
+    perms, compose = _matching_tables(k)
     n_perms = len(perms)
-    index = {perm: i for i, perm in enumerate(map(tuple, perms))}
-    # compose[sigma, q]: the assignment sigma o q, i.e. q followed by the matching sigma.
-    compose = np.array([[index[tuple(sigma[q])] for q in perms] for sigma in perms], dtype=np.uint8)
     slack = _SUM_ORDER_SLACK * k
     slots = raw.T.copy()  # (k, n): each raw slot contiguous along the sweep
     modulus = np.maximum(np.abs(slots).max(axis=0), 1e-300)  # largest |raw| per point
@@ -383,7 +404,7 @@ def _magnon_pair(params: SystemParams, s: float, adiabatic: bool) -> tuple[float
     model drops the broadest LAPACK eigenvalue (the first one on ties).
     """
     if adiabatic:
-        (a00, a01), (a10, a11) = build_adiabatic_model(params, s=s).matrix.tolist()
+        a00, a01, a10, a11 = adiabatic_entries(params, s)
         mean, half = (a00 + a11) / 2.0, (a00 - a11) / 2.0
         radical = cmath.sqrt(half * half + a01 * a10)
         a, b = mean + radical, mean - radical
@@ -400,39 +421,121 @@ def _magnon_pair(params: SystemParams, s: float, adiabatic: bool) -> tuple[float
     return gap, (a + b) / 2
 
 
-def _discriminant_roots(params: SystemParams, adiabatic: bool) -> np.ndarray:
-    """Roots in s of the discriminant of det(lambda I - H(s)), where two eigenvalues meet.
+def _discriminant_polynomial(params: SystemParams) -> list[complex]:
+    """Coefficients in s, highest power first, of the full model's discriminant -4c^3 - 27d^2.
 
-    The reduced roots are (a11 - a00)/2 +/- sqrt(-a01*a10) for H(s) = H(0) +
-    s*diag(1, -1).  The full H(s) = H(0) + s*diag(0, 1, -1), less a third of
-    its trace, has the cubic lambda^3 + c lambda + d with c, d quadratic in s,
-    so the discriminant -4c^3 - 27d^2 has degree 6 and leading coefficient 4.
-    Empty when the coefficients are not finite (g^2/kappa overflows).
+    H(s) = H(0) + s*diag(0, 1, -1), less a third of its trace, has the
+    characteristic cubic lambda^3 + c lambda + d with c = -s^2 + c1 s + c2 and
+    d = d0 s^2 + d1 s + d2, so the discriminant has degree 6 and leading
+    coefficient 4 - 0j.  The shifted diagonal of H(0) is imaginary and its
+    couplings are real, so c = (-1, i x, y) and d = (i u0, v1, i u2) for real
+    x, y, u0, v1, u2.  The products below are np.convolve's, bit for bit: it
+    sums each coefficient's real*real, imag*imag, real*imag and imag*real
+    products apart, in index order, and adds each part to 0.0; the products
+    that are exactly zero are left out.  Each such sum holds at most one
+    inexact product besides exact ones, or one product twice, so a BLAS dot
+    product that fuses multiply-adds gives the same bits.  Empty when c or d
+    or a coefficient is not finite (g^2/kappa overflows).
     """
-    if adiabatic:
-        (a00, a01), (a10, a11) = build_adiabatic_model(params, s=0.0).matrix.tolist()
-        centre, half_width = (a11 - a00) / 2.0, cmath.sqrt(-a01 * a10)
-        roots = np.array([centre - half_width, centre + half_width])
-        return roots if np.isfinite(roots).all() else roots[:0]
-    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = build_full_hamiltonian(params, s=0.0).tolist()
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = full_entries(params, 0.0)
     # Without the shift the common damping cancels in 18bcd - 4b^3 d + b^2 c^2 - ...
     shift = (h00 + h11 + h22) / 3.0
     h00, h11, h22 = h00 - shift, h11 - shift, h22 - shift
-    # Coefficients in s, highest power first.
-    c = np.array([-1.0, h22 - h11, h00 * h11 + h00 * h22 + h11 * h22 - h01 * h10 - h02 * h20 - h12 * h21])
+    c1, c2 = h22 - h11, h00 * h11 + h00 * h22 + h11 * h22 - h01 * h10 - h02 * h20 - h12 * h21
     det0 = h00 * (h11 * h22 - h12 * h21) - h01 * (h10 * h22 - h12 * h20) + h02 * (h10 * h21 - h11 * h20)
-    d = np.array([h00, h02 * h20 - h01 * h10 - h00 * (h22 - h11), -det0])
-    # Overflow leaves non-finite coefficients or steps, which are checked.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        disc = -4.0 * np.convolve(np.convolve(c, c), c)
-        disc[2:] -= 27.0 * np.convolve(d, d)
-        if not np.isfinite(disc).all():
-            return disc[:0]
-        roots = np.roots(disc)
-        # One Newton step gives a small root the relative accuracy that the gap
-        # test at a square-root cusp needs; a double root has no finite step.
-        polished = roots - np.polyval(disc, roots) / np.polyval(np.polyder(disc), roots)
-    return np.where(np.isfinite(polished), polished, roots)
+    d0, d1, d2 = h00, h02 * h20 - h01 * h10 - h00 * (h22 - h11), -det0
+    if not all(map(cmath.isfinite, (c1, c2, d0, d1, d2))):
+        return []
+    x, y, u0, v1, u2 = c1.imag, c2.real, d0.imag, d1.real, d2.imag
+    # c^2 = (1, i cc1, cc2, i cc3, cc4)
+    cc1 = 0.0 + (-x - x)
+    cc2 = 0.0 + ((-y - y) - x * x)
+    cc3 = 0.0 + (y * x + x * y)
+    cc4 = 0.0 + y * y
+    # c^3 = (-1, i e1, e2, i e3, e4, i e5, e6)
+    e1 = 0.0 + (x - cc1)
+    e2 = 0.0 + ((y - cc2) - cc1 * x)
+    e3 = 0.0 + (cc2 * x + (cc1 * y - cc3))
+    e4 = 0.0 + ((cc2 * y - cc4) - cc3 * x)
+    e5 = 0.0 + (cc4 * x + cc3 * y)
+    e6 = 0.0 + cc4 * y
+    # d^2 = (f0, i f1, f2, i f3, f4)
+    f0 = 0.0 - u0 * u0
+    f1 = 0.0 + (v1 * u0 + u0 * v1)
+    f2 = 0.0 + (v1 * v1 - (u0 * u2 + u2 * u0))
+    f3 = 0.0 + (v1 * u2 + u2 * v1)
+    f4 = 0.0 - u2 * u2
+    # Scaled and subtracted in complex arithmetic, which gives numpy's signed zeros.
+    cube = (complex(-1.0, 0.0), complex(0.0, e1), complex(e2, 0.0), complex(0.0, e3),
+            complex(e4, 0.0), complex(0.0, e5), complex(e6, 0.0))
+    square = (complex(f0, 0.0), complex(0.0, f1), complex(f2, 0.0), complex(0.0, f3), complex(f4, 0.0))
+    disc = [-4.0 * z for z in cube]
+    for k, z in enumerate(square, start=2):
+        disc[k] = disc[k] - 27.0 * z
+    return disc if all(map(cmath.isfinite, disc)) else []
+
+
+def _discriminant_roots(params: SystemParams, adiabatic: bool) -> list[complex]:
+    """Roots in s of the discriminant of det(lambda I - H(s)), where two eigenvalues meet.
+
+    The reduced roots are (a11 - a00)/2 +/- sqrt(-a01*a10) for H(s) = H(0) +
+    s*diag(1, -1), from adiabatic_entries.  The full model's are those of
+    _discriminant_polynomial, found as numpy.roots finds them: trailing zero
+    coefficients become exact zero roots, and the rest are the eigenvalues of
+    the companion matrix, the one numpy call here.  Each root then gets one
+    Newton step on Python complex numbers: Horner's rule in numpy.polyval's
+    order and the quotient as numpy divides.  A root whose step is not finite
+    is kept.  Python rounds each part of a complex product once, where
+    numpy's complex128 products may fuse multiply-adds: a real root's products
+    have an exact zero term and come out the same either way, a complex
+    root's can differ in the last bits.  About 45 us for the full model, 24 us
+    of it in eigvals, and 1.5 us for the reduced one.  Empty when the
+    coefficients are not finite (g^2/kappa overflows).
+    """
+    if adiabatic:
+        a00, a01, a10, a11 = adiabatic_entries(params, 0.0)
+        centre, half_width = (a11 - a00) / 2.0, cmath.sqrt(-a01 * a10)
+        roots = [centre - half_width, centre + half_width]
+        return roots if all(map(cmath.isfinite, roots)) else []
+    disc = _discriminant_polynomial(params)
+    if not disc:
+        return []
+    degree = len(disc) - 1
+    while disc[degree] == 0:  # stops at the leading 4 - 0j
+        degree -= 1
+    roots = []
+    if degree > 0:
+        companion = _COMPANION[degree].copy()
+        # -p[1:]/p[0] for p[0] = 4 - 0j, as numpy divides: (a + i b)/p[0] is
+        # ((a + b*r)*t, (b - a*r)*t) with r = -0.0/4 and t = 1/(4 + r*r).
+        companion[0] = [complex((-z.real + -z.imag * -0.0) * 0.25, (-z.imag - -z.real * -0.0) * 0.25)
+                        for z in disc[1:degree + 1]]
+        roots = np.linalg.eigvals(companion).tolist()
+    roots += [0j] * (len(disc) - 1 - degree)
+    # One Newton step gives a small root the relative accuracy that the gap
+    # test at a square-root cusp needs; a double root has no finite step.
+    slope = [z * (len(disc) - 1 - k) for k, z in enumerate(disc[:-1])]
+    polished = []
+    for root in roots:
+        f = df = 0j
+        for z in disc:
+            f = f * root + z
+        for z in slope:
+            df = df * root + z
+        try:
+            if abs(df.real) >= abs(df.imag):
+                ratio = df.imag / df.real
+                scale = 1.0 / (df.real + df.imag * ratio)
+                step = complex((f.real + f.imag * ratio) * scale, (f.imag - f.real * ratio) * scale)
+            else:
+                ratio = df.real / df.imag
+                scale = 1.0 / (df.imag + df.real * ratio)
+                step = complex((f.real * ratio + f.imag) * scale, (f.imag * ratio - f.real) * scale)
+        except ZeroDivisionError:  # df == 0, where numpy's quotient is not finite
+            step = math.nan
+        better = root - step
+        polished.append(better if cmath.isfinite(better) else root)
+    return polished
 
 
 def find_exceptional_point(
@@ -463,7 +566,7 @@ def find_exceptional_point(
         raise ValueError(f"empty search bracket [{s_min}, {s_max}]")
     adiabatic = model == "adiabatic"
     tol = EP_GAP_TOLERANCE * params.kappa
-    roots = _discriminant_roots(params, adiabatic).tolist()
+    roots = _discriminant_roots(params, adiabatic)
     for location in sorted(r.real for r in roots if abs(r.imag) <= tol and lo <= r.real <= hi):
         gap, value = _magnon_pair(params, location, adiabatic)
         if gap <= tol:

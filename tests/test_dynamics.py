@@ -335,6 +335,19 @@ class TestAdiabaticValidityReport:
         deviation = adiabatic_validity_report(STRONG, [1.0, 0.0], t_end=20.0, dt=0.002)
         assert deviation > 0.5
 
+    @pytest.mark.parametrize("params,m0,t_end,dt", [
+        (WEAK, [1.0, 0.5j], 100.0, 0.01),
+        (STRONG, [0.3 - 0.2j, 1.0], 20.0, 0.002),
+    ])
+    def test_matches_the_largest_norm_of_the_trajectory_difference(self, params, m0, t_end, dt):
+        m0 = np.array(m0, dtype=complex)
+        full0 = np.array([slaved_cavity_amplitude(params, m0[0], m0[1]), m0[0], m0[1]])
+        full = integrate_full(params, DriveParams(delta=0.0, amplitude=0.0), full0, t_end, dt)
+        reduced = integrate_adiabatic(build_adiabatic_model(params), m0, t_end, dt)
+        expected = np.linalg.norm(full.states[:, 1:] - reduced.states, axis=1).max() / np.linalg.norm(m0)
+        # The same squares summed in another order: a few ulps apart at most.
+        assert adiabatic_validity_report(params, m0, t_end, dt) == pytest.approx(expected, rel=4 * np.finfo(float).eps)
+
     def test_decoupled_systems_agree_exactly(self):
         p = SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0, g2=0, s=0.3)
         assert adiabatic_validity_report(p, [1.0, 0.5j], t_end=10.0, dt=0.01) == 0.0

@@ -4,18 +4,26 @@ import cmath
 import itertools
 import math
 import re
+import struct
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavitymagnons import spectra
 from cavitymagnons.closed_forms import adiabatic_eigenvalues, closed_form_symmetric, weak_coupling_approx
-from cavitymagnons.model import SystemParams, build_adiabatic_model, build_full_hamiltonian
+from cavitymagnons.model import (
+    SystemParams,
+    adiabatic_entries,
+    build_adiabatic_model,
+    build_full_hamiltonian,
+    full_entries,
+)
 from cavitymagnons.spectra import (
     EP_GAP_TOLERANCE,
     ROOT_BLOCK_ROWS,
@@ -24,6 +32,8 @@ from cavitymagnons.spectra import (
     ExceptionalPoint,
     ExceptionalPointNotFound,
     _cubic_roots,
+    _discriminant_polynomial,
+    _discriminant_roots,
     _magnon_pair,
     _pair_roots,
     eigenvalues_3x3,
@@ -70,6 +80,55 @@ def pair_gap_reference(params, s, adiabatic):
         values = eigenvalues_3x3(build_full_hamiltonian(params, s=s))
         values = np.delete(values, np.argmin(values.imag))
     return abs(values[0] - values[1]), complex(values.mean())
+
+
+def complex_bits(values) -> bytes:
+    """IEEE bits of complex values, so that signed zeros and NaN payloads compare too."""
+    return b"".join(struct.pack("<dd", z.real, z.imag) for z in map(complex, values))
+
+
+def discriminant_polynomial_reference(params):
+    """The full model's discriminant -4c^3 - 27d^2 through np.convolve.
+
+    The products that _discriminant_polynomial writes out, in the complex128
+    arithmetic they replaced.
+    """
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = build_full_hamiltonian(params, s=0.0).tolist()
+    shift = (h00 + h11 + h22) / 3.0
+    h00, h11, h22 = h00 - shift, h11 - shift, h22 - shift
+    c = np.array([-1.0, h22 - h11, h00 * h11 + h00 * h22 + h11 * h22 - h01 * h10 - h02 * h20 - h12 * h21])
+    det0 = h00 * (h11 * h22 - h12 * h21) - h01 * (h10 * h22 - h12 * h20) + h02 * (h10 * h21 - h11 * h20)
+    d = np.array([h00, h02 * h20 - h01 * h10 - h00 * (h22 - h11), -det0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disc = -4.0 * np.convolve(np.convolve(c, c), c)
+        disc[2:] -= 27.0 * np.convolve(d, d)
+    return disc
+
+
+def discriminant_roots_reference(params, horner=object):
+    """np.roots of the reference discriminant plus one Newton step through np.polyval.
+
+    horner=object evaluates np.polyval on Python complex numbers: Horner's
+    rule in np.polyval's order, each product rounded on its own.
+    horner=complex is np.polyval's usual complex128 evaluation, whose products
+    numpy's SIMD loops may fuse into multiply-adds (with numpy 2.4 on an
+    AVX-512 x86-64 CPU, 47% of random complex products differ from Python's
+    in the last bit).  The quotient is numpy's complex128 division either way.
+    """
+    disc = discriminant_polynomial_reference(params)
+    if not np.isfinite(disc).all():
+        return []
+    roots = np.roots(disc)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = np.polyval(disc.astype(horner), roots.astype(horner)).astype(complex)
+        df = np.polyval(np.polyder(disc).astype(horner), roots.astype(horner)).astype(complex)
+        polished = roots - f / df
+    return np.where(np.isfinite(polished), polished, roots).tolist()
+
+
+def reduced_entries_reference(params, s):
+    """Entries (a00, a01, a10, a11) of the reduced matrix, built as an array."""
+    return [z for row in build_adiabatic_model(params, s=s).matrix.tolist() for z in row]
 
 
 # Bracket width at which the reference search stops, in kappa units.  The gap
@@ -642,6 +701,13 @@ class TestBranchTracking:
         assert np.array_equal(tracked, expected)
         assert ambiguous == expected_ambiguous
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matching_tables_are_built_once_and_read_only(self, k):
+        perms, compose = spectra._matching_tables(k)
+        assert spectra._matching_tables(k)[0] is perms
+        assert not perms.flags.writeable and not compose.flags.writeable
+        assert perms.tolist() == [list(p) for p in itertools.permutations(range(k))]
+
     @pytest.mark.parametrize("n", [1, 2, TRACK_BLOCK_STEPS + 1])
     def test_single_branch_is_returned_unchanged(self, n):
         raw = (np.linspace(-1.0, 1.0, n) - 0.1j)[:, None]
@@ -776,9 +842,160 @@ class TestFindExceptionalPoint:
         assert point == find_exceptional_point(SystemParams(), -0.06, 0.0, model=model)
 
 
+# Parameters from 0 to the float range, subnormals included, so that the
+# products overflow, underflow and meet signed zeros.
+wide_params_strategy = st.builds(
+    SystemParams,
+    kappa=st.floats(min_value=5e-324, max_value=1.7e308),
+    gamma1=st.floats(min_value=0.0, max_value=1.7e308),
+    gamma2=st.floats(min_value=0.0, max_value=1.7e308),
+    g1=st.floats(min_value=0.0, max_value=1.7e308),
+    g2=st.floats(min_value=0.0, max_value=1.7e308),
+)
+# Decoupled, so the discriminant is 4 s^6 (kappa = gamma) or has two trailing
+# zeros (gamma = g = 0); couplings whose squares overflow; and the default.
+PINNED_DISCRIMINANTS = [
+    SystemParams(kappa=1, gamma1=1, gamma2=1, g1=0, g2=0),
+    SystemParams(kappa=1, gamma1=0, gamma2=0, g1=0, g2=0),
+    SystemParams(g1=1e200, g2=1e200),
+    SystemParams(),
+]
+
+
+def _pinned(test):
+    for params in PINNED_DISCRIMINANTS:
+        test = example(params)(test)
+    return test
+
+
+class TestDiscriminantRoots:
+    """_discriminant_polynomial and _discriminant_roots against np.convolve, np.roots and np.polyval."""
+
+    @_pinned
+    @given(params_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_polynomial_matches_convolve_bitwise(self, params):
+        expected = discriminant_polynomial_reference(params)
+        expected = expected.tolist() if np.isfinite(expected).all() else []
+        assert complex_bits(_discriminant_polynomial(params)) == complex_bits(expected)
+
+    @given(wide_params_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_polynomial_matches_convolve_bitwise_over_the_float_range(self, params):
+        expected = discriminant_polynomial_reference(params)
+        expected = expected.tolist() if np.isfinite(expected).all() else []
+        assert complex_bits(_discriminant_polynomial(params)) == complex_bits(expected)
+
+    @_pinned
+    @given(params_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_roots_match_np_roots_and_polyval_order_bitwise(self, params):
+        expected = discriminant_roots_reference(params, horner=object)
+        assert complex_bits(_discriminant_roots(params, adiabatic=False)) == complex_bits(expected)
+
+    @given(wide_params_strategy)
+    @settings(max_examples=100, deadline=None)
+    def test_roots_match_over_the_float_range(self, params):
+        expected = discriminant_roots_reference(params, horner=object)
+        assert complex_bits(_discriminant_roots(params, adiabatic=False)) == complex_bits(expected)
+
+    @given(kappas, couplings, st.floats(min_value=0.0, max_value=0.1))
+    @settings(max_examples=200, deadline=None)
+    def test_real_roots_match_the_complex128_newton_step(self, kappa, g, gamma):
+        # Equal dampings and couplings, where the real roots are the EPs: a
+        # real root's products have one exact zero term, so fusing changes
+        # nothing and the complex128 step gives the same bits.
+        params = SystemParams(kappa=kappa, gamma1=gamma * kappa, gamma2=gamma * kappa, g1=g, g2=g)
+        expected = discriminant_roots_reference(params, horner=complex)
+        roots = _discriminant_roots(params, adiabatic=False)
+        assert len(roots) == len(expected)
+        for root, reference in zip(roots, expected):
+            if reference.imag == 0.0:
+                assert complex_bits([root]) == complex_bits([reference])
+
+    def test_decoupled_equal_rates_give_six_exact_zero_roots(self):
+        params = PINNED_DISCRIMINANTS[0]
+        assert _discriminant_polynomial(params) == [4.0] + [0.0] * 6
+        assert complex_bits(_discriminant_roots(params, adiabatic=False)) == complex_bits([0j] * 6)
+
+    def test_trailing_zero_coefficients_become_zero_roots(self):
+        roots = _discriminant_roots(PINNED_DISCRIMINANTS[1], adiabatic=False)
+        assert complex_bits(roots[4:]) == complex_bits([0j, 0j])
+        # s = +/-i, where s or -s meets the cavity's -i, twice each.
+        assert best_match_errors(roots[:4], [1j, 1j, -1j, -1j]).max() < 1e-8
+
+    @pytest.mark.parametrize("adiabatic", [False, True])
+    def test_overflowing_coefficients_give_no_roots(self, adiabatic):
+        assert _discriminant_roots(PINNED_DISCRIMINANTS[2], adiabatic) == []
+
+    @example(PINNED_DISCRIMINANTS[1])
+    @example(PINNED_DISCRIMINANTS[3])
+    @given(params_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_companion_matrix_is_the_one_np_roots_builds(self, params):
+        disc = discriminant_polynomial_reference(params)
+        assume(np.isfinite(disc).all())
+        p = disc[:np.flatnonzero(disc)[-1] + 1]
+        assume(len(p) > 1)
+        expected = np.diag(np.ones(len(p) - 2, dtype=complex), -1)
+        expected[0, :] = -p[1:] / p[0]
+        seen, eigvals = [], np.linalg.eigvals
+
+        def capture(a):
+            seen.append(np.array(a))
+            return eigvals(a)
+
+        with mock.patch.object(np.linalg, "eigvals", capture):
+            _discriminant_roots(params, adiabatic=False)
+        assert len(seen) == 1
+        assert seen[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("adiabatic", [False, True])
+    def test_a_search_makes_at_most_one_numpy_eigvals_call(self, monkeypatch, adiabatic):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the discriminant search called a numpy polynomial routine")
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        for name in ("convolve", "roots", "polyval", "polyder"):
+            monkeypatch.setattr(np, name, refuse)
+        _discriminant_roots(SystemParams(), adiabatic)
+        assert calls == ([] if adiabatic else [(6, 6)])
+
+
+class TestScalarEntries:
+    """full_entries and adiabatic_entries against the array builders, bit for bit."""
+
+    @example(SystemParams(), 0.0)
+    @example(SystemParams(), -0.0)
+    @example(SystemParams(gamma1=0.0, gamma2=-0.0, g1=0.0, g2=-0.0), -0.0)
+    @example(SystemParams(g1=1e200, g2=1e200), 0.5)
+    @given(params_strategy, splittings)
+    @settings(max_examples=300, deadline=None)
+    def test_reduced_entries_match_the_matrix(self, params, s):
+        assert complex_bits(adiabatic_entries(params, s)) == complex_bits(reduced_entries_reference(params, s))
+
+    @example(SystemParams(), 0.0)
+    @example(SystemParams(), -0.0)
+    @example(SystemParams(gamma1=0.0, gamma2=-0.0, g1=0.0, g2=-0.0), -0.0)
+    @given(params_strategy, splittings)
+    @settings(max_examples=300, deadline=None)
+    def test_full_entries_match_the_matrix(self, params, s):
+        expected = [z for row in build_full_hamiltonian(params, s=s).tolist() for z in row]
+        assert complex_bits([z for row in full_entries(params, s) for z in row]) == complex_bits(expected)
+
+
 class TestPairGapFunction:
     """_magnon_pair's gap and mean against building and solving H(s) at each s."""
 
+    @example(SystemParams(), -0.0, True)
+    @example(SystemParams(), -0.0, False)
     @given(params_strategy, splittings, st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_matches_per_point_solve_bitwise(self, params, s, adiabatic):
@@ -787,7 +1004,7 @@ class TestPairGapFunction:
             gap, mean = _magnon_pair(params, at, adiabatic)
             expected_gap, expected_mean = pair_gap_reference(params, at, adiabatic)
             assert gap == expected_gap
-            assert mean == expected_mean
+            assert complex_bits([mean]) == complex_bits([expected_mean])
 
     @pytest.mark.parametrize("params,tied", [
         # Decoupled modes: the eigenvalues are the diagonal, exactly.
