@@ -555,7 +555,8 @@ def find_exceptional_point(
 
     Raises ValueError for a non-finite or empty bracket or an unknown model,
     and ExceptionalPointNotFound when no root qualifies, naming the root
-    nearest the bracket (off the real axis when the dressed dampings differ).
+    nearest the bracket (off the real axis when the dressed dampings differ;
+    of a conjugate pair, equally near, the one with Im s > 0).
     """
     if model not in ("adiabatic", "full"):
         raise ValueError(f"model must be 'adiabatic' or 'full', got {model!r}")
@@ -573,7 +574,13 @@ def find_exceptional_point(
             return ExceptionalPoint(location=location, degenerate_value=value, gap_at_location=gap)
     at, found = lo, "discriminant coefficients are not finite"
     if roots:
-        nearest = min(roots, key=lambda r: abs(r - min(max(r.real, lo), hi)))
+        distances = [abs(r - min(max(r.real, lo), hi)) for r in roots]
+        closest = min(distances)
+        # The roots of a conjugate pair are equally near the bracket, so rounding
+        # alone would pick one: of the roots within 16 ulps (of the closest
+        # root's modulus) of the least distance, name the one with the larger Im.
+        band = closest + 16 * math.ulp(abs(roots[distances.index(closest)]))
+        nearest = max((r for r, d in zip(roots, distances) if d <= band), key=lambda r: r.imag)
         at, found = min(max(nearest.real, lo), hi), f"nearest discriminant root s={nearest:.6g}"
     gap = _magnon_pair(params, at, adiabatic)[0]
     raise ExceptionalPointNotFound(

@@ -364,6 +364,24 @@ class TestRunModes:
         assert headers[-1] == "s_hz"
         assert rows[0, -1] == pytest.approx(rows[0, 0] * 1e6)
 
+    def test_dynamics_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # Trajectory rows are BLAS products; OpenBLAS reads its thread count once, at start-up.
+        config = "[run]\nmode = dynamics\n[drive]\namplitude = 1\n[output]\npath = dyn.csv\nformat = both\n"
+        outputs = []
+        for threads in ("1", "2"):
+            workdir = tmp_path / threads
+            workdir.mkdir()
+            (workdir / "run.cfg").write_text(config)
+            proc = subprocess.run(
+                [sys.executable, "-m", "cavitymagnons", "--config", "run.cfg"], cwd=workdir, capture_output=True,
+                text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                "PYTHONPATH": str(Path(cavitymagnons.__file__).parents[1])},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(workdir / name).read_bytes() for name in ("dyn.csv", "dyn.json")])
+        assert len(outputs[0][0].splitlines()) > 1000
+        assert outputs[0] == outputs[1]
+
     def test_csv_output_is_deterministic(self, tmp_path):
         out = tmp_path / "eig.csv"
         config = parse_config(EIG_CONFIG.format(path=out))

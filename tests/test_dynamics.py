@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cavitymagnons import dynamics
 from cavitymagnons.dynamics import (
     BLOCK_STEPS,
     adiabatic_validity_report,
@@ -175,6 +176,53 @@ class TestStride:
     def test_numpy_integer_stride(self):
         traj = integrate_full(WEAK, DriveParams(), np.zeros(3), t_end=1.0, dt=0.01, stride=np.int64(10))
         assert traj.times.size == 11
+
+
+DECOUPLED = SystemParams(kappa=1, gamma1=0.01, gamma2=0.03, g1=0, g2=0, s=0.3)
+
+
+class TestSharedLayout:
+    """The reduced model runs in the full model's 3-mode layout; free runs propagate P alone."""
+
+    @pytest.mark.parametrize("n_steps", [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5])
+    def test_reduced_rows_are_the_magnon_rows_of_a_decoupled_full_run(self, n_steps):
+        # The cavity starts excited and decays on its own; it reaches no magnon.
+        x0 = np.array([0.7 - 0.2j, 1.0 + 0.25j, -0.5 + 0.5j])
+        full = integrate_full(DECOUPLED, FREE, x0, n_steps * 0.01, 0.01)
+        reduced = integrate_adiabatic(build_adiabatic_model(DECOUPLED), x0[1:], n_steps * 0.01, 0.01)
+        assert reduced.states.shape == (n_steps + 1, 2)
+        assert reduced.states.tobytes() == full.states[:, 1:].tobytes()
+        assert np.array_equal(reduced.times, full.times)
+
+    @pytest.mark.parametrize("n_steps,stride", [(PASS_STEPS + 3, 1), (2 * PASS_STEPS + 5, 1), (20000, 7), (999, 64)])
+    def test_free_run_matches_the_augmented_map(self, monkeypatch, n_steps, stride):
+        # The drive column of a free run is exactly 0, so dropping it changes no
+        # bit; the strided runs end with a tail step.
+        x0 = np.array([0.2 - 0.7j, 0.5 + 0.1j, 0.3 - 0.4j])
+        dt = accurate_dt(build_driven_system(RINGING, FREE).matrix)
+        free = integrate_full(RINGING, FREE, x0, n_steps * dt, dt, stride)
+        step_map = dynamics._step_map
+
+        def augmented_step_map(a, force, h):
+            m = np.eye(force.size + 1, dtype=complex)
+            m[:-1, :-1] = step_map(a, force, h)
+            return m
+
+        monkeypatch.setattr(dynamics, "_step_map", augmented_step_map)
+        augmented = integrate_full(RINGING, FREE, x0, n_steps * dt, dt, stride)
+        assert free.states.tobytes() == augmented.states.tobytes()
+        assert free.final_residual == augmented.final_residual
+
+    def test_identical_runs_give_identical_bytes(self):
+        drive = DriveParams(delta=0.1, amplitude=1.0)
+        runs = [(integrate_full(RINGING, drive, np.zeros(3), 2000.0, 0.05, 3),
+                 integrate_adiabatic(build_adiabatic_model(WEAK), [0.8, -0.6j], 100.0, 0.01),
+                 adiabatic_validity_report(WEAK, [1.0, 0.5j], t_end=100.0, dt=0.01))
+                for _ in range(2)]
+        (full, reduced, report), (full2, reduced2, report2) = runs
+        assert full.states.tobytes() == full2.states.tobytes()
+        assert reduced.states.tobytes() == reduced2.states.tobytes()
+        assert report == report2
 
 
 class TestIntegrateFull:
@@ -356,6 +404,23 @@ class TestAdiabaticValidityReport:
         p = SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0, g2=0, s=0.3)
         n_steps = 2 * BLOCK_STEPS**2 + 5
         assert adiabatic_validity_report(p, [1.0, 0.5j], t_end=n_steps * 0.01, dt=0.01) == 0.0
+
+    @pytest.mark.parametrize("m0,exponent", [
+        ([1e200, 0.0], -700),
+        ([1e-320, 0.0], 1100),
+        ([1e300 + 1e300j, -1e299j], -1000),
+        ([3e-310, -1e-320j], 1030),
+    ])
+    def test_does_not_depend_on_the_scale_of_the_initial_state(self, m0, exponent):
+        # Squares of these amplitudes overflow or underflow; scaled by 2**exponent
+        # they are ordinary, and the report is the same to the bit.
+        m0 = np.array(m0, dtype=complex)
+        ordinary = np.ldexp(m0.view(float), exponent).view(complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            deviation = adiabatic_validity_report(WEAK, m0, t_end=20.0, dt=0.01)
+        assert deviation == adiabatic_validity_report(WEAK, ordinary, t_end=20.0, dt=0.01)
+        assert 0 < deviation <= 0.1
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_initial_state(self, bad):

@@ -835,6 +835,23 @@ class TestFindExceptionalPoint:
         named = complex(re.search(r"nearest discriminant root s=(\S+)$", str(err.value)).group(1))
         assert abs(named - root) <= 1e-6
 
+    @pytest.mark.parametrize("g,bracket", [(0.39, (0.2, 0.21)), (0.45, (0.28, 0.3)), (0.5, (-0.4, -0.3))])
+    def test_not_found_names_the_upper_root_of_a_conjugate_pair(self, g, bracket):
+        # Equal dampings past the coupling where the full model's EPs vanish:
+        # the roots nearest the bracket are a conjugate pair, equally near.
+        # Their computed Im parts differ in the last bits, here so that the
+        # lower root comes out nearer.
+        p = SystemParams(g1=g, g2=g)
+        roots = _discriminant_roots(p, adiabatic=False)
+        with pytest.raises(ExceptionalPointNotFound) as err:
+            find_exceptional_point(p, *bracket, model="full")
+        named = complex(re.search(r"nearest discriminant root s=(\S+)$", str(err.value)).group(1))
+        assert named.imag > 0
+        # Six printed digits name the root; its conjugate is a root too.
+        upper = min(roots, key=lambda r: abs(r - named))
+        assert abs(named - upper) <= 1e-5 * abs(upper) and bracket[0] <= upper.real <= bracket[1]
+        assert min(abs(r - upper.conjugate()) for r in roots) <= 1e-12
+
     @pytest.mark.parametrize("model", ["adiabatic", "full"])
     def test_bracket_with_both_coalescences_gives_the_lower(self, model):
         point = find_exceptional_point(SystemParams(), -0.06, 0.06, model=model)
