@@ -31,28 +31,8 @@ from .model import DriveParams, SystemParams
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ResponsePoint:
-    """Steady-state response at one drive detuning.
-
-    total_spincurrent is |m1|^2 + |m2|^2 and dark_amplitude is
-    (m1 - m2)/sqrt(2), both definitional.  r and t are the reflection and
-    transmission coefficients of the cavity port; they are amplitude
-    independent and remain defined for amplitude = 0.
-    """
-
-    delta: float
-    a: complex
-    m1: complex
-    m2: complex
-    total_spincurrent: float
-    dark_amplitude: complex
-    r: complex
-    t: complex
-
-
-def _total_spincurrent(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """|m1|^2 + |m2|^2 over arrays, rounded as _response_point rounds one point.
+def _total_spincurrent(m1, m2):
+    """|m1|^2 + |m2|^2 of numpy complex scalars or arrays, rounded as abs(m1) ** 2 + abs(m2) ** 2.
 
     abs(m) ** 2 of a numpy scalar is hypot, then pow; np.abs and ** on arrays
     round differently (SIMD modulus, squaring), hypot and float_power do not.
@@ -64,17 +44,34 @@ def _dark_amplitude(m1, m2):
     return (m1 - m2) / _SQRT2
 
 
-def _response_point(delta: float, a, m1, m2, t) -> ResponsePoint:
-    return ResponsePoint(
-        delta=delta,
-        a=a,
-        m1=m1,
-        m2=m2,
-        total_spincurrent=abs(m1) ** 2 + abs(m2) ** 2,
-        dark_amplitude=_dark_amplitude(m1, m2),
-        r=t - 1.0,
-        t=t,
-    )
+@dataclass(frozen=True)
+class ResponsePoint:
+    """Steady-state response at one drive detuning.
+
+    t is the transmission coefficient of the cavity port; it is amplitude
+    independent and remains defined for amplitude = 0.  total_spincurrent
+    (|m1|^2 + |m2|^2), dark_amplitude ((m1 - m2)/sqrt(2)) and the reflection
+    r = t - 1 are computed from the fields on access, by the formulas of
+    SpectrumSweep's columns.
+    """
+
+    delta: float
+    a: complex
+    m1: complex
+    m2: complex
+    t: complex
+
+    @property
+    def total_spincurrent(self) -> float:
+        return _total_spincurrent(self.m1, self.m2)
+
+    @property
+    def dark_amplitude(self) -> complex:
+        return _dark_amplitude(self.m1, self.m2)
+
+    @property
+    def r(self) -> complex:
+        return self.t - 1.0
 
 
 class ResponsePoints(Sequence):
@@ -97,7 +94,7 @@ class ResponsePoints(Sequence):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
         a, m1, m2 = self._states[index]
-        return _response_point(float(self._deltas[index]), a, m1, m2, self._t[index])
+        return ResponsePoint(float(self._deltas[index]), a, m1, m2, self._t[index])
 
 
 @dataclass(frozen=True)
@@ -233,7 +230,7 @@ def steady_state(params: SystemParams, drive: DriveParams) -> ResponsePoint:
     """
     column = _first_column(params, float(drive.delta), _POINT_OPS)
     a, m1, m2, t = np.array([complex(re, im) for re, im in _steady_parts(params, column, drive.amplitude)])
-    return _response_point(drive.delta, a, m1, m2, t)
+    return ResponsePoint(drive.delta, a, m1, m2, t)
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:

@@ -31,13 +31,14 @@ per-step loop over the k! x k! pairs.
 An exceptional point is a double eigenvalue, so the search takes the lowest
 real root in its bracket of the discriminant of the characteristic polynomial
 in s whose magnon-like pair gap passes EP_GAP_TOLERANCE.  There is no
-iterative search.  The reduced two-mode model has closed-form roots; the full
-model's discriminant has degree 6, and its coefficients are written-out real
-products, its roots the eigenvalues of its companion matrix, each polished by
-one Newton step.  Apart from that one eigvals call a search runs on Python
-scalars and builds no model arrays: the full model's roots take about 45 us
-where numpy.convolve, numpy.roots and numpy.polyval took about 90 us, and the
-reduced model's 1.5 us where building its matrix took 8 us.
+iterative search.  The reduced two-mode model has the paper's closed-form
+roots s = +/- g1*g2/kappa + i(gamma_tilde1 - gamma_tilde2)/2; the full
+model's discriminant has degree 6, its coefficients written-out real products
+of the rates, its roots the eigenvalues of its companion matrix, each
+polished by one Newton step.  Apart from that one eigvals call a search runs
+on Python scalars computed from the rates and builds no model arrays: the
+full model's roots take about 45 us where numpy.convolve, numpy.roots and
+numpy.polyval took about 90 us.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, adiabatic_entries, build_adiabatic_model, build_full_hamiltonian, full_entries
+from .model import SystemParams, _dressed_rates, build_adiabatic_model, build_full_hamiltonian
 
 # A pair of eigenvalues closer than this (in kappa units) counts as coalesced,
 # and a discriminant root this close to the real axis (in kappa units) counts as real.
@@ -244,9 +245,8 @@ def _scaled_cubic_roots(entries: np.ndarray) -> np.ndarray:
 def _pair_roots(m: np.ndarray) -> np.ndarray:
     """Eigenvalues (n, 2) of an (n, 2, 2) stack: mean +/- sqrt(half^2 + a01*a10).
 
-    The closed form that _magnon_pair and _discriminant_roots use on one
-    matrix, on the scaled stack, so half^2 neither overflows nor underflows;
-    exact through a coalescence.
+    The closed form of _magnon_pair's reduced pair, on the scaled stack, so
+    half^2 neither overflows nor underflows; exact through a coalescence.
     """
     return _stack_roots(m.reshape(-1, 2, 2), _scaled_pair_roots)
 
@@ -400,13 +400,15 @@ def sweep_eigenvalues(
 def _magnon_pair(params: SystemParams, s: float, adiabatic: bool) -> tuple[float, complex]:
     """Gap |lambda+ - lambda-| and mean of the magnon-like eigenvalue pair at s.
 
-    Closed form for the reduced pair, exact through a coalescence; the full
-    model drops the broadest LAPACK eigenvalue (the first one on ties).
+    Closed form for the reduced pair from its rates, exact through a
+    coalescence; the full model drops the broadest LAPACK eigenvalue (the
+    first one on ties).
     """
     if adiabatic:
-        a00, a01, a10, a11 = adiabatic_entries(params, s)
-        mean, half = (a00 + a11) / 2.0, (a00 - a11) / 2.0
-        radical = cmath.sqrt(half * half + a01 * a10)
+        gt1, gt2, rate = _dressed_rates(params)
+        # Times i, an infinite dressed damping makes the pair NaN, as in the matrix.
+        mean, half = -0.5j * (gt1 + gt2), s + 0.5j * (gt2 - gt1)
+        radical = cmath.sqrt(half * half - rate * rate)
         a, b = mean + radical, mean - radical
     else:
         a, b, c = eigenvalues_3x3(build_full_hamiltonian(params, s=s)).tolist()
@@ -427,26 +429,28 @@ def _discriminant_polynomial(params: SystemParams) -> list[complex]:
     H(s) = H(0) + s*diag(0, 1, -1), less a third of its trace, has the
     characteristic cubic lambda^3 + c lambda + d with c = -s^2 + c1 s + c2 and
     d = d0 s^2 + d1 s + d2, so the discriminant has degree 6 and leading
-    coefficient 4 - 0j.  The shifted diagonal of H(0) is imaginary and its
-    couplings are real, so c = (-1, i x, y) and d = (i u0, v1, i u2) for real
-    x, y, u0, v1, u2.  The products below are np.convolve's, bit for bit: it
-    sums each coefficient's real*real, imag*imag, real*imag and imag*real
-    products apart, in index order, and adds each part to 0.0; the products
-    that are exactly zero are left out.  Each such sum holds at most one
-    inexact product besides exact ones, or one product twice, so a BLAS dot
+    coefficient 4 - 0j.  Less t = (kappa + gamma1 + gamma2)/3, the diagonal of
+    H(0) is i(k, b, c) = i(t - kappa, t - gamma1, t - gamma2) and its couplings
+    are real, so c = (-1, i x, y) and d = (i u0, v1, i u2) for real x, y, u0,
+    v1, u2, products of the rates.  The products below are np.convolve's, bit
+    for bit: it sums each coefficient's real*real, imag*imag, real*imag and
+    imag*real products apart, in index order, and adds each part to 0.0; the
+    products that are exactly zero are left out.  Each such sum holds at most
+    one inexact product besides exact ones, or one product twice, so a BLAS dot
     product that fuses multiply-adds gives the same bits.  Empty when c or d
     or a coefficient is not finite (g^2/kappa overflows).
     """
-    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = full_entries(params, 0.0)
+    p = params
     # Without the shift the common damping cancels in 18bcd - 4b^3 d + b^2 c^2 - ...
-    shift = (h00 + h11 + h22) / 3.0
-    h00, h11, h22 = h00 - shift, h11 - shift, h22 - shift
-    c1, c2 = h22 - h11, h00 * h11 + h00 * h22 + h11 * h22 - h01 * h10 - h02 * h20 - h12 * h21
-    det0 = h00 * (h11 * h22 - h12 * h21) - h01 * (h10 * h22 - h12 * h20) + h02 * (h10 * h21 - h11 * h20)
-    d0, d1, d2 = h00, h02 * h20 - h01 * h10 - h00 * (h22 - h11), -det0
-    if not all(map(cmath.isfinite, (c1, c2, d0, d1, d2))):
+    t = (p.kappa + p.gamma1 + p.gamma2) / 3.0
+    k, b, c = t - p.kappa, t - p.gamma1, t - p.gamma2
+    x = c - b
+    y = -(k * b) - k * c - b * c - p.g1 * p.g1 - p.g2 * p.g2
+    u0 = k
+    v1 = (p.g2 * p.g2 - p.g1 * p.g1) + k * x
+    u2 = k * (b * c) + p.g1 * (p.g1 * c) + p.g2 * (b * p.g2)
+    if not all(map(math.isfinite, (x, y, u0, v1, u2))):
         return []
-    x, y, u0, v1, u2 = c1.imag, c2.real, d0.imag, d1.real, d2.imag
     # c^2 = (1, i cc1, cc2, i cc3, cc4)
     cc1 = 0.0 + (-x - x)
     cc2 = 0.0 + ((-y - y) - x * x)
@@ -478,25 +482,26 @@ def _discriminant_polynomial(params: SystemParams) -> list[complex]:
 def _discriminant_roots(params: SystemParams, adiabatic: bool) -> list[complex]:
     """Roots in s of the discriminant of det(lambda I - H(s)), where two eigenvalues meet.
 
-    The reduced roots are (a11 - a00)/2 +/- sqrt(-a01*a10) for H(s) = H(0) +
-    s*diag(1, -1), from adiabatic_entries.  The full model's are those of
-    _discriminant_polynomial, found as numpy.roots finds them: trailing zero
-    coefficients become exact zero roots, and the rest are the eigenvalues of
-    the companion matrix, the one numpy call here.  Each root then gets one
-    Newton step on Python complex numbers: Horner's rule in numpy.polyval's
-    order and the quotient as numpy divides.  A root whose step is not finite
+    The reduced roots are the closed form s = +/- g1*g2/kappa +
+    i(gamma_tilde1 - gamma_tilde2)/2, none where (g1*g2/kappa)^2 overflows
+    (_magnon_pair's half^2 would too, and could not confirm them).  The full
+    model's are those of _discriminant_polynomial, found as numpy.roots finds
+    them: trailing zero coefficients become exact zero roots, and the rest are
+    the eigenvalues of the companion matrix, the one numpy call here.  Each
+    root then gets one Newton step on Python complex numbers: Horner's rule in
+    numpy.polyval's order and the quotient as numpy divides.  A root whose step is not finite
     is kept.  Python rounds each part of a complex product once, where
     numpy's complex128 products may fuse multiply-adds: a real root's products
     have an exact zero term and come out the same either way, a complex
     root's can differ in the last bits.  About 45 us for the full model, 24 us
-    of it in eigvals, and 1.5 us for the reduced one.  Empty when the
-    coefficients are not finite (g^2/kappa overflows).
+    of it in eigvals.  Empty when the coefficients are not finite (g^2/kappa
+    overflows).
     """
     if adiabatic:
-        a00, a01, a10, a11 = adiabatic_entries(params, 0.0)
-        centre, half_width = (a11 - a00) / 2.0, cmath.sqrt(-a01 * a10)
-        roots = [centre - half_width, centre + half_width]
-        return roots if all(map(cmath.isfinite, roots)) else []
+        gt1, gt2, rate = _dressed_rates(params)
+        centre = (gt1 - gt2) / 2.0
+        roots = [complex(-rate, centre), complex(rate, centre)]
+        return roots if math.isfinite(rate * rate) and all(map(cmath.isfinite, roots)) else []
     disc = _discriminant_polynomial(params)
     if not disc:
         return []

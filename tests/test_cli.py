@@ -97,7 +97,7 @@ class TestParseConfig:
         )
         assert config.system.gamma1 == 0.01
         assert config.system.g1 == 0.2
-        assert config.sweep_variable == "s"
+        assert "[sweep]\nvariable = s\n" in render_config(config)
         assert config.output_format == "both"
 
     @pytest.mark.parametrize("snippet,field", [

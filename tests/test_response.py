@@ -1,6 +1,7 @@
 """Tests for the driven steady state, spincurrent spectra and scattering."""
 
 import math
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +82,16 @@ class TestSteadyState:
         point = steady_state(p, DriveParams(delta=0.2, amplitude=1.3))
         assert point.total_spincurrent == abs(point.m1) ** 2 + abs(point.m2) ** 2
         assert point.dark_amplitude == (point.m1 - point.m2) / SQRT2
+
+    def test_derived_values_follow_the_fields(self):
+        # A point stores delta, a, m1, m2 and t; the rest is computed from them.
+        p = SystemParams(kappa=1, gamma1=0.01, gamma2=0.03, g1=0.2, g2=0.3, s=0.05)
+        point = steady_state(p, DriveParams(delta=0.0, amplitude=1.0))
+        moved = replace(point, m1=2 * point.m1, t=0.5)
+        assert moved.total_spincurrent == abs(2 * point.m1) ** 2 + abs(point.m2) ** 2
+        assert moved.dark_amplitude == (2 * point.m1 - point.m2) / SQRT2
+        assert moved.r == 0.5 - 1.0
+        assert [field.name for field in fields(ResponsePoint)] == ["delta", "a", "m1", "m2", "t"]
 
     def test_singular_system_raises(self):
         p = SystemParams(kappa=1, gamma1=0, gamma2=0, g1=0, g2=0, s=0.5)
