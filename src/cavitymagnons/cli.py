@@ -6,6 +6,11 @@ table, one row per sweep point, with a versioned header comment, and
 optionally a JSON sidecar carrying a canonical echo of the parsed config plus
 detected features (peaks, gap minima, exceptional-point locations).
 
+Each mode's runner returns `(columns, features)`, where `columns` is an
+ordered dict from a quantity's name to its 1-D array, real or complex.  `run`
+alone turns it into the table: it appends the SI column (`<first column>_hz`,
+or `t_seconds` for dynamics) and writes a complex `q` as `re_q, im_q`.
+
 Exit codes: 0 success; 1 config error (diagnostic names the first invalid
 field, or the command line, the config file or the output path at fault);
 2 numerical failure (diagnostic names the sweep point, or the column or
@@ -24,12 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dynamics, response, spectra
-from .model import (
-    DriveParams,
-    SystemParams,
-    build_adiabatic_model,
-    drive_amplitude_from_power,
-)
+from .model import DriveParams, SystemParams, _dressed_rates, drive_amplitude_from_power
 
 MODES = ("eig-sweep", "response-sweep", "reflection-sweep", "ep-find", "adiabatic-compare", "dynamics")
 SWEEP_MODES = {
@@ -42,8 +42,8 @@ SWEEP_MODES = {
 DRIVE_REQUIRED = ("response-sweep", "dynamics")
 FORMATS = ("csv", "json", "both")
 CSV_SCHEMA = 1
-# Bounds every sweep: at 10^6 points on 2 vCPUs an eig-sweep run takes 9.2 s and 1.03 GB peak RSS,
-# an adiabatic-compare run 12.0 s and 1.44 GB; as json only, the eig-sweep takes 1.8 s and 244 MB.
+# Bounds every sweep: at 10^6 points on 2 vCPUs an eig-sweep run takes 8.5 s and 0.59 GB peak RSS,
+# an adiabatic-compare run 8.9-11.1 s and 0.83 GB; as json only, the eig-sweep takes 1.8 s and 244 MB.
 MAX_SWEEP_POINTS = 10**6
 
 # The config grammar: per section, the modes whose configs may carry it and
@@ -58,10 +58,6 @@ GRAMMAR = {
     "si": (MODES, {"kappa_hz": float}),
     "output": (MODES, {"path": str, "format": str}),
 }
-# The SI column appended when [si] kappa_hz is given: column 0 times kappa_hz,
-# or divided by it for the times of a dynamics run.
-_SI_HEADERS = {"eig-sweep": "s_hz", "ep-find": "s_ep_hz", "response-sweep": "delta_hz",
-               "reflection-sweep": "delta_hz", "adiabatic-compare": "s_hz", "dynamics": "t_seconds"}
 
 
 class ConfigError(ValueError):
@@ -215,8 +211,7 @@ def parse_config(text: str) -> RunConfig:
         if delta is not None:
             drive = replace(drive, delta=delta)
         if t_end is None:
-            reduced = build_adiabatic_model(system)
-            gt_min = min(reduced.gamma_tilde1, reduced.gamma_tilde2)
+            gt_min = min(_dressed_rates(system)[:2])
             if math.isinf(gt_min):
                 raise ConfigError("dynamics.t_end", "no default: gamma + g**2/kappa overflows; set t_end")
             t_end = 50.0 / gt_min if gt_min > 0 else 50.0 / system.kappa
@@ -294,66 +289,56 @@ def render_config(config: RunConfig) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def _run_eig_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
+def _run_eig_sweep(config: RunConfig) -> tuple[dict, dict]:
     branch_set = spectra.sweep_eigenvalues(
         config.system, config.sweep_min, config.sweep_max, config.sweep_points
     )
     plus, minus = branch_set.magnon_branch_indices()
-    cavity = branch_set.cavity_branch_index()
     s = branch_set.sweep_values
-    l0 = branch_set.branches[:, cavity]
+    l0 = branch_set.branches[:, branch_set.cavity_branch_index()]
     lp = branch_set.branches[:, plus]
     lm = branch_set.branches[:, minus]
     gaps = np.abs(lp.real - lm.real)
     i_min = int(np.argmin(gaps))
-    headers = ["s", "re_l0", "im_l0", "re_lp", "im_lp", "re_lm", "im_lm"]
-    columns = [s, l0.real, l0.imag, lp.real, lp.imag, lm.real, lm.imag]
     features = {
         "min_gap": float(gaps[i_min]),
         "min_gap_s": float(s[i_min]),
         "ambiguous_spans": [list(span) for span in branch_set.ambiguous_spans],
     }
-    return headers, columns, features
+    return {"s": s, "l0": l0, "lp": lp, "lm": lm}, features
 
 
-def _run_ep_find(config: RunConfig) -> tuple[list[str], list, dict]:
+def _run_ep_find(config: RunConfig) -> tuple[dict, dict]:
     point = spectra.find_exceptional_point(
         config.system, config.sweep_min, config.sweep_max, model=config.ep_model
     )
-    headers = ["s_ep", "re_lambda", "im_lambda", "gap"]
-    columns = [
-        np.array([point.location]),
-        np.array([point.degenerate_value.real]),
-        np.array([point.degenerate_value.imag]),
-        np.array([point.gap_at_location]),
-    ]
+    columns = {
+        "s_ep": np.array([point.location]),
+        "lambda": np.array([point.degenerate_value]),
+        "gap": np.array([point.gap_at_location]),
+    }
     features = {
         "model": config.ep_model,
         "s_ep": point.location,
         "degenerate_value": [point.degenerate_value.real, point.degenerate_value.imag],
         "gap": point.gap_at_location,
     }
-    return headers, columns, features
+    return columns, features
 
 
-def _run_response_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
+def _run_response_sweep(config: RunConfig) -> tuple[dict, dict]:
     deltas = np.linspace(config.sweep_min, config.sweep_max, config.sweep_points)
     sweep = response.spincurrent_spectrum(config.system, deltas, config.drive.amplitude)
     a, m1, m2 = sweep.states.T
-    dark = sweep.dark_amplitude
-    headers = [
-        "delta", "re_a", "im_a", "re_m1", "im_m1", "re_m2", "im_m2",
-        "spincurrent", "re_dark", "im_dark",
-    ]
-    columns = [
-        deltas, a.real, a.imag, m1.real, m1.imag, m2.real, m2.imag,
-        sweep.total_spincurrent, dark.real, dark.imag,
-    ]
+    columns = {
+        "delta": deltas, "a": a, "m1": m1, "m2": m2,
+        "spincurrent": sweep.total_spincurrent, "dark": sweep.dark_amplitude,
+    }
     features = {"peaks": [{"delta": d, "height": h} for d, h in sweep.peaks]}
-    return headers, columns, features
+    return columns, features
 
 
-def _run_reflection_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
+def _run_reflection_sweep(config: RunConfig) -> tuple[dict, dict]:
     deltas = np.linspace(config.sweep_min, config.sweep_max, config.sweep_points)
     # r and t do not depend on the drive amplitude.
     sweep = response.spincurrent_spectrum(config.system, deltas)
@@ -362,8 +347,6 @@ def _run_reflection_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
     abs2_t = np.abs(t) ** 2
     i_dip = int(np.argmin(abs2_r))
     i_zero = int(np.argmin(np.abs(deltas)))
-    headers = ["delta", "re_r", "im_r", "abs2_r", "re_t", "im_t", "abs2_t"]
-    columns = [deltas, r.real, r.imag, abs2_r, t.real, t.imag, abs2_t]
     features = {
         "reflection_dip": {"delta": float(deltas[i_dip]), "abs2_r": float(abs2_r[i_dip])},
         "nearest_zero_detuning": {
@@ -372,10 +355,10 @@ def _run_reflection_sweep(config: RunConfig) -> tuple[list[str], list, dict]:
             "abs2_t": float(abs2_t[i_zero]),
         },
     }
-    return headers, columns, features
+    return {"delta": deltas, "r": r, "abs2_r": abs2_r, "t": t, "abs2_t": abs2_t}, features
 
 
-def _run_adiabatic_compare(config: RunConfig) -> tuple[list[str], list, dict]:
+def _run_adiabatic_compare(config: RunConfig) -> tuple[dict, dict]:
     full = spectra.sweep_eigenvalues(config.system, config.sweep_min, config.sweep_max, config.sweep_points)
     reduced = spectra.sweep_eigenvalues(
         config.system, config.sweep_min, config.sweep_max, config.sweep_points, adiabatic=True
@@ -390,23 +373,16 @@ def _run_adiabatic_compare(config: RunConfig) -> tuple[list[str], list, dict]:
         np.minimum(np.abs(fp - ap), np.abs(fp - am)),
         np.minimum(np.abs(fm - ap), np.abs(fm - am)),
     ])
-    headers = [
-        "s", "re_full_p", "im_full_p", "re_full_m", "im_full_m",
-        "re_adia_p", "im_adia_p", "re_adia_m", "im_adia_m", "abs_err",
-    ]
-    columns = [
-        full.sweep_values, fp.real, fp.imag, fm.real, fm.imag,
-        ap.real, ap.imag, am.real, am.imag, err,
-    ]
+    columns = {"s": full.sweep_values, "full_p": fp, "full_m": fm, "adia_p": ap, "adia_m": am, "abs_err": err}
     features = {
         "max_eigenvalue_error": float(err.max()),
         "max_eigenvalue_error_s": float(full.sweep_values[int(np.argmax(err))]),
         "induced_rate": config.system.induced_rate,
     }
-    return headers, columns, features
+    return columns, features
 
 
-def _run_dynamics(config: RunConfig) -> tuple[list[str], list, dict]:
+def _run_dynamics(config: RunConfig) -> tuple[dict, dict]:
     drive = config.drive
     # Keep about 2000 rows so long runs stay reviewable; only those are computed.
     stride = max(1, (dynamics.step_count(config.t_end, config.dt) + 1) // 2000)
@@ -418,17 +394,9 @@ def _run_dynamics(config: RunConfig) -> tuple[list[str], list, dict]:
     except np.linalg.LinAlgError:  # it names delta; the config calls it dynamics.delta
         raise ValueError(f"singular steady-state system at dynamics.delta={_fmt(drive.delta)}") from None
     target = np.array([steady.a, steady.m1, steady.m2])
-    times = trajectory.times
-    states = trajectory.states
-    distance = np.linalg.norm(states - target, axis=1)
-    headers = ["t", "re_a", "im_a", "re_m1", "im_m1", "re_m2", "im_m2", "dist_to_steady"]
-    columns = [
-        times,
-        states[:, 0].real, states[:, 0].imag,
-        states[:, 1].real, states[:, 1].imag,
-        states[:, 2].real, states[:, 2].imag,
-        distance,
-    ]
+    a, m1, m2 = trajectory.states.T
+    distance = np.linalg.norm(trajectory.states - target, axis=1)
+    columns = {"t": trajectory.times, "a": a, "m1": m1, "m2": m2, "dist_to_steady": distance}
     features = {
         "dt": trajectory.dt,
         "final_residual": trajectory.final_residual,
@@ -439,7 +407,7 @@ def _run_dynamics(config: RunConfig) -> tuple[list[str], list, dict]:
             "m2": [steady.m2.real, steady.m2.imag],
         },
     }
-    return headers, columns, features
+    return columns, features
 
 
 _RUNNERS = {
@@ -454,16 +422,14 @@ _RUNNERS = {
 
 def render_csv(headers: list[str], columns: list) -> str:
     """CSV with a schema comment, header row, LF endings, 17 significant digits."""
-    cells = [[format(value, ".17g") for value in np.asarray(c, dtype=float).tolist()] for c in columns]
-    rows = "".join(",".join(row) + "\n" for row in zip(*cells))
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = "".join([row % values for values in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))])
     return f"# schema={CSV_SCHEMA}\n" + ",".join(headers) + "\n" + rows
 
 
 def _output_paths(path: str) -> tuple[str, str]:
-    base = path
-    for suffix in (".csv", ".json"):
-        if base.endswith(suffix):
-            base = base[: -len(suffix)]
+    """The CSV and JSON paths: `path` less one trailing .csv or .json, plus each suffix."""
+    base = path.removesuffix(".csv") if path.endswith(".csv") else path.removesuffix(".json")
     return base + ".csv", base + ".json"
 
 
@@ -492,12 +458,20 @@ def run(config: RunConfig) -> list[str]:
     # Overflow shows up as NaN or infinity in the output, which the checks
     # below report; numpy's own warnings would only bury that diagnostic.
     with np.errstate(over="ignore", invalid="ignore"):
-        headers, columns, features = _RUNNERS[config.mode](config)
+        named, features = _RUNNERS[config.mode](config)
         if config.kappa_hz is not None:
-            headers.append(_SI_HEADERS[config.mode])
-            scale = np.divide if config.mode == "dynamics" else np.multiply
-            columns.append(scale(columns[0], config.kappa_hz))
-    for header, column in zip(headers, columns):
+            first, values = next(iter(named.items()))
+            if config.mode == "dynamics":
+                named["t_seconds"] = values / config.kappa_hz
+            else:
+                named[f"{first}_hz"] = values * config.kappa_hz
+    table = {}
+    for name, values in named.items():
+        if np.iscomplexobj(values):
+            table.update({f"re_{name}": values.real, f"im_{name}": values.imag})
+        else:
+            table[name] = values
+    for header, column in table.items():
         if not np.all(np.isfinite(column)):
             raise ValueError(f"non-finite values in column {header}; nothing written")
     bad_feature = _nonfinite_feature(features, "features")
@@ -507,7 +481,7 @@ def run(config: RunConfig) -> list[str]:
     written = []
     if config.output_format in ("csv", "both"):
         with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(render_csv(headers, columns))
+            handle.write(render_csv(list(table), list(table.values())))
         written.append(csv_path)
     if config.output_format in ("json", "both"):
         sidecar = {

@@ -561,6 +561,7 @@ def find_exceptional_point(
     Raises ValueError for a non-finite or empty bracket or an unknown model,
     and ExceptionalPointNotFound when no root qualifies, naming the root
     nearest the bracket (off the real axis when the dressed dampings differ;
+    of roots whose distances round alike, the one nearer along the real axis;
     of a conjugate pair, equally near, the one with Im s > 0).
     """
     if model not in ("adiabatic", "full"):
@@ -581,11 +582,20 @@ def find_exceptional_point(
     if roots:
         distances = [abs(r - min(max(r.real, lo), hi)) for r in roots]
         closest = min(distances)
-        # The roots of a conjugate pair are equally near the bracket, so rounding
-        # alone would pick one: of the roots within 16 ulps (of the closest
-        # root's modulus) of the least distance, name the one with the larger Im.
-        band = closest + 16 * math.ulp(abs(roots[distances.index(closest)]))
-        nearest = max((r for r, d in zip(roots, distances) if d <= band), key=lambda r: r.imag)
+        # Far from the bracket several roots' distances round alike, and the
+        # roots of a conjugate pair are equally near it.  Of the roots within
+        # 16 ulps (of the closest root's modulus) of the least distance, keep
+        # those whose exact offset along the real axis is within 16 ulps of the
+        # least, then name the one with the larger Im: of a conjugate pair,
+        # whose real parts differ only by rounding, the upper root.
+        ulps = 16 * math.ulp(abs(roots[distances.index(closest)]))
+        tied = [r for r, d in zip(roots, distances) if d <= closest + ulps]
+        if len(tied) > 1 and math.isfinite(closest):  # and so is every tied root
+            from fractions import Fraction  # only ties in this message need exact offsets
+
+            offsets = [abs(Fraction(r.real) - Fraction(min(max(r.real, lo), hi))) for r in tied]
+            tied = [r for r, o in zip(tied, offsets) if o <= min(offsets) + Fraction(ulps)]
+        nearest = max(tied, key=lambda r: r.imag)
         at, found = min(max(nearest.real, lo), hi), f"nearest discriminant root s={nearest:.6g}"
     gap = _magnon_pair(params, at, adiabatic)[0]
     raise ExceptionalPointNotFound(

@@ -16,6 +16,7 @@ import cavitymagnons
 from cavitymagnons.cli import (
     GRAMMAR,
     MAX_SWEEP_POINTS,
+    MODES,
     ConfigError,
     RunConfig,
     main,
@@ -73,6 +74,17 @@ points = 201
 path = {path}
 format = both
 """
+
+
+# A small run of each mode.
+MODE_BODIES = {
+    "eig-sweep": "[sweep]\nmin = -1\nmax = 1\npoints = 5\n",
+    "ep-find": "[sweep]\nmin = 0.02\nmax = 0.06\npoints = 2\n",
+    "response-sweep": "[sweep]\nmin = -0.2\nmax = 0.2\npoints = 5\n[drive]\namplitude = 1\n",
+    "reflection-sweep": "[sweep]\nmin = -0.2\nmax = 0.2\npoints = 5\n",
+    "adiabatic-compare": "[sweep]\nmin = -0.1\nmax = 0.1\npoints = 5\n",
+    "dynamics": "[drive]\namplitude = 1\n[dynamics]\nt_end = 1\ndt = 0.1\n",
+}
 
 
 def read_csv(path):
@@ -227,6 +239,13 @@ class TestRenderCsv:
         text = render_csv(["x", "y"], [np.array([1.0, 2.5]), np.array([0.1, -3.0])])
         assert text == "# schema=1\nx,y\n1,0.10000000000000001\n2.5,-3\n"
 
+    def test_cells_format_as_each_float_does(self):
+        values = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, -2.5e-17, 1e16,
+                           1.7976931348623157e308])
+        columns = [values, values[::-1], np.arange(values.size)]
+        rows = "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in zip(*columns))
+        assert render_csv(["x", "y", "i"], columns) == "# schema=1\nx,y,i\n" + rows
+
 
 class TestRunModes:
     def test_eig_sweep_outputs(self, tmp_path):
@@ -356,6 +375,21 @@ class TestRunModes:
         assert headers[0] == "t" and headers[-1] == "dist_to_steady"
         assert rows[-1, 0] == pytest.approx(1000.0)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_headers_follow_the_readme_table(self, tmp_path, mode):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Output", 1)[1].split("Columns per mode:\n\n", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for line in table.splitlines()[2:]:
+            name, columns = (cell.strip() for cell in line.strip("|").split("|"))
+            documented[name] = re.match(r"`([^`]*)`", columns)[1].split(", ")
+        assert sorted(documented) == sorted(MODES)
+        out = tmp_path / "out.csv"
+        run(parse_config(f"[run]\nmode = {mode}\n{MODE_BODIES[mode]}[si]\nkappa_hz = 1e6\n"
+                         f"[output]\npath = {out}\nformat = csv\n"))
+        si_column = "t_seconds" if mode == "dynamics" else f"{documented[mode][0]}_hz"
+        assert read_csv(out)[0] == documented[mode] + [si_column]
+
     def test_si_column(self, tmp_path):
         out = tmp_path / "eig.csv"
         text = EIG_CONFIG.format(path=out).replace("[output]", "[si]\nkappa_hz = 1e6\n\n[output]")
@@ -432,6 +466,21 @@ class TestMainExitCodes:
         assert proc.stderr.startswith(diagnostic)
         assert proc.stdout == ""
         assert sorted(path.name for path in tmp_path.iterdir()) == ["not_utf8.cfg", "run.cfg"]
+
+    @pytest.mark.parametrize("output,written", [
+        ("a.csv", ["a.csv", "a.json"]),
+        ("a.json", ["a.csv", "a.json"]),
+        ("a", ["a.csv", "a.json"]),
+        # One suffix comes off, whichever it is.
+        ("a.json.csv", ["a.json.csv", "a.json.json"]),
+        ("a.csv.json", ["a.csv.csv", "a.csv.json"]),
+    ])
+    def test_output_path_loses_one_suffix(self, tmp_path, capsys, output, written):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(EIG_CONFIG.format(path="ignored.csv"))
+        assert main(["--config", str(config_path), "--output", str(tmp_path / output)]) == 0
+        assert capsys.readouterr().out.split() == [str(tmp_path / name) for name in written]
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["run.cfg", *written])
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -833,6 +833,20 @@ class TestFindExceptionalPoint:
         named = complex(re.search(r"nearest discriminant root s=(\S+)$", str(err.value)).group(1))
         assert abs(named - root) <= 1e-6
 
+    @pytest.mark.parametrize("model,bracket,root", [
+        ("adiabatic", (1e308, 1.5e308), 0.04),
+        ("full", (1e308, 1.5e308), 0.0422493),
+        ("adiabatic", (-1.5e308, -1e308), -0.04),
+        ("full", (-1.5e308, -1e308), -0.0422493),
+    ])
+    def test_not_found_names_the_root_nearer_along_the_real_axis(self, model, bracket, root):
+        # Every root's distance to the bracket rounds to 1e308, so only an
+        # exact comparison of the real parts tells the nearer root.
+        with pytest.raises(ExceptionalPointNotFound) as err:
+            find_exceptional_point(SystemParams(), *bracket, model=model)
+        named = complex(re.search(r"nearest discriminant root s=(\S+)$", str(err.value)).group(1))
+        assert named == root
+
     @pytest.mark.parametrize("g,bracket", [(0.39, (0.2, 0.21)), (0.45, (0.28, 0.3)), (0.5, (-0.4, -0.3))])
     def test_not_found_names_the_upper_root_of_a_conjugate_pair(self, g, bracket):
         # Equal dampings past the coupling where the full model's EPs vanish:
