@@ -191,9 +191,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("drive.power", "required alongside drive.frequency")
     if "amplitude" in routes:
         amplitude = get("drive", "amplitude")
-        if amplitude < 0:
-            raise ConfigError("drive.amplitude", "must be non-negative")
-        drive = DriveParams(delta=0.0, amplitude=amplitude)
+        try:
+            drive = DriveParams(delta=0.0, amplitude=amplitude)
+        except ValueError as exc:
+            raise ConfigError("drive.amplitude", str(exc)) from None
     elif "power" in routes:
         drive_power, drive_frequency = get("drive", "power"), get("drive", "frequency")
         try:
@@ -217,14 +218,11 @@ def parse_config(text: str) -> RunConfig:
             t_end = 50.0 / gt_min if gt_min > 0 else 50.0 / system.kappa
         if dt is None:
             dt = 0.1 / max(system.kappa, abs(system.s), system.g1, system.g2, 1.0)
-        if t_end <= 0:
-            raise ConfigError("dynamics.t_end", "must be positive")
-        if dt <= 0:
-            raise ConfigError("dynamics.dt", "must be positive")
         try:
             dynamics.step_count(t_end, dt)
         except ValueError as exc:
-            raise ConfigError("dynamics.t_end", f"{exc} (t_end = {t_end:.6g}, dynamics.dt = {dt:.6g})") from None
+            field = "dynamics.dt" if str(exc).startswith("dt ") else "dynamics.t_end"
+            raise ConfigError(field, f"{exc} (t_end = {t_end:.6g}, dynamics.dt = {dt:.6g})") from None
 
     ep_model = get("ep", "model") or "adiabatic"
     if used("ep", "only used by mode ep-find") and ep_model not in ("adiabatic", "full"):

@@ -5,6 +5,10 @@ polariton basis, the symmetric and weak-coupling eigenvalues, the reduced
 two-mode eigenvalues, the printed magnon response, the symmetric response
 whose central pole cancels, the zero-detuning scattering, the mean-field drift
 of the equivalent Lindblad model and the material-level coupling estimate.
+It also holds the exact propagator exp(-i(H - delta)t) of the driven system,
+propagate_exact, the oracle for the RK4 integrator.  Its matrix exponential is
+scipy's expm, imported when that oracle first runs: scipy is a test
+dependency, not a runtime one.
 The runtime modules compute every observable from the exact matrices and never
 import this module; the tests check those computations against these forms.
 """
@@ -16,7 +20,7 @@ import math
 
 import numpy as np
 
-from .model import HBAR, AdiabaticModel, DriveParams, SystemParams
+from .model import HBAR, AdiabaticModel, DriveParams, SystemParams, build_driven_system
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -238,3 +242,31 @@ def zero_detuning_scattering_closed_form(params: SystemParams) -> tuple[complex,
     big_gamma = p.g1 ** 2 / p.kappa
     t = (p.s ** 2 + gamma ** 2) / (p.s ** 2 + gamma ** 2 + 2.0 * gamma * big_gamma)
     return t - 1.0, complex(t)
+
+
+def matrix_exponential(a: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring (scipy.linalg.expm; Higham 2005)."""
+    import scipy.linalg  # only the propagate_exact oracle needs scipy
+
+    return scipy.linalg.expm(np.asarray(a, dtype=complex))
+
+
+def propagate_exact(
+    params: SystemParams,
+    drive: DriveParams,
+    state0,
+    t: float,
+) -> np.ndarray:
+    """Closed-form solution exp(-i(H-delta)t) (X0 - Xss) + Xss of the driven system.
+
+    Used as the integrator oracle.  The particular solution Xss requires a
+    nonsingular (H - delta); with no drive the propagator alone is applied.
+    """
+    system = build_driven_system(params, drive)
+    a = -1j * system.matrix
+    state0 = np.asarray(state0, dtype=complex)
+    propagator = matrix_exponential(a * t)
+    if np.all(system.force == 0):
+        return propagator @ state0
+    x_ss = np.linalg.solve(a, -system.force)
+    return propagator @ (state0 - x_ss) + x_ss

@@ -3,9 +3,9 @@
 The driven three-mode system evolves as dX/dt = -i (H - delta) X + F, a linear
 ODE whose steady state is available in closed form, so a fixed-step classical
 fourth-order integrator is used: exactness is cheap to check against the
-matrix-exponential solution, and the integrator's fixed point coincides with
-the true steady state.  The undriven two-mode reduction dY/dt = -i H_tilde Y
-shares the same stepper.
+matrix-exponential solution (the closed_forms.propagate_exact oracle), and the
+integrator's fixed point coincides with the true steady state.  The undriven
+two-mode reduction dY/dt = -i H_tilde Y shares the same stepper.
 
 On a linear ODE one RK4 step is exactly the affine map y <- P y + q, with
 P = sum_{j<=4} (hA)^j / j!.  The stepper builds that map once, as the
@@ -28,9 +28,6 @@ zero cavity row and column, and returns the magnon columns.  A BLAS product
 sums in an order set by its shapes, so the full and reduced runs share every
 shape: that, and the exact zeros of a decoupled model, keep decoupled magnons
 bit for bit the same in both models.
-
-The matrix exponential (scipy's scaling-and-squaring expm) serves only the
-propagate_exact oracle, so scipy is imported when that oracle first runs.
 """
 
 from __future__ import annotations
@@ -85,13 +82,6 @@ class Trajectory:
     def __post_init__(self):
         self.times.setflags(write=False)
         self.states.setflags(write=False)
-
-
-def matrix_exponential(a: np.ndarray) -> np.ndarray:
-    """exp(A) by scaling and squaring (scipy.linalg.expm; Higham 2005)."""
-    import scipy.linalg  # only the propagate_exact oracle needs scipy
-
-    return scipy.linalg.expm(np.asarray(a, dtype=complex))
 
 
 def step_count(t_end: float, dt: float) -> int:
@@ -292,27 +282,6 @@ def integrate_adiabatic(model: AdiabaticModel, state0, t_end: float, dt: float) 
     if state0.shape != (2,):
         raise ValueError(f"initial state must have 2 components, got shape {state0.shape}")
     return _integrate_linear(-1j * model.matrix, np.zeros(2, dtype=complex), state0, t_end, dt)
-
-
-def propagate_exact(
-    params: SystemParams,
-    drive: DriveParams,
-    state0,
-    t: float,
-) -> np.ndarray:
-    """Closed-form solution exp(-i(H-delta)t) (X0 - Xss) + Xss of the driven system.
-
-    Used as the integrator oracle.  The particular solution Xss requires a
-    nonsingular (H - delta); with no drive the propagator alone is applied.
-    """
-    system = build_driven_system(params, drive)
-    a = -1j * system.matrix
-    state0 = np.asarray(state0, dtype=complex)
-    propagator = matrix_exponential(a * t)
-    if np.all(system.force == 0):
-        return propagator @ state0
-    x_ss = np.linalg.solve(a, -system.force)
-    return propagator @ (state0 - x_ss) + x_ss
 
 
 def slaved_cavity_amplitude(params: SystemParams, m1: complex, m2: complex) -> complex:

@@ -20,12 +20,12 @@ from cavitymagnons.closed_forms import (
     adiabatic_eigenvalues,
     closed_form_symmetric,
     lindblad_mean_field_drift,
+    propagate_exact,
     weak_coupling_approx,
 )
 from cavitymagnons.dynamics import (
     adiabatic_validity_report,
     integrate_full,
-    propagate_exact,
 )
 from cavitymagnons.model import (
     DriveParams,

@@ -125,6 +125,9 @@ class TestParseConfig:
         ("[run]\nmode = eig-sweep\nengine = warp\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n", "run.engine"),
         ("[run]\nmode = dynamics\n[drive]\npower = 1e-3\nfrequency = -5\n", "drive.frequency"),
         ("[run]\nmode = dynamics\n[drive]\npower = 1e-3\nfrequency = 0\n", "drive.frequency"),
+        ("[run]\nmode = dynamics\n[drive]\namplitude = -1\n", "drive.amplitude"),
+        ("[run]\nmode = dynamics\n[drive]\namplitude = 1\n[dynamics]\nt_end = -1\n", "dynamics.t_end"),
+        ("[run]\nmode = dynamics\n[drive]\namplitude = 1\n[dynamics]\ndt = 0\n", "dynamics.dt"),
         ("[DEFAULT]\nkappa = 2\n[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n", "DEFAULT"),
         ("[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n[output]\npath = out\n  more.csv\n",
          "output.path"),
@@ -708,16 +711,17 @@ class TestMainExitCodes:
         assert proc.returncode == 0
         assert (tmp_path / "out.csv").exists()
 
-    def test_runtime_never_loads_the_closed_forms(self, tmp_path):
-        # The paper's closed forms are test oracles; a fresh import and a run leave them unloaded.
+    @pytest.mark.parametrize("mode", MODE_BODIES)
+    def test_runtime_never_loads_the_closed_forms(self, tmp_path, mode):
+        # The paper's closed forms and scipy serve the tests; a fresh import and a run leave them unloaded.
         config_path = tmp_path / "run.cfg"
-        config_path.write_text(EIG_CONFIG.format(path=tmp_path / "out.csv"))
+        config_path.write_text(f"[run]\nmode = {mode}\n{MODE_BODIES[mode]}[output]\npath = {tmp_path / 'out.csv'}\n")
         script = (
             "import sys, cavitymagnons\n"
             "from cavitymagnons.cli import main\n"
             f"assert main(['--config', {str(config_path)!r}]) == 0\n"
-            "print('cavitymagnons.closed_forms' in sys.modules)\n"
+            "print('cavitymagnons.closed_forms' in sys.modules, 'scipy' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert proc.stdout.splitlines()[-1] == "False False"

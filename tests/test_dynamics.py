@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cavitymagnons import dynamics
+from cavitymagnons.closed_forms import matrix_exponential, propagate_exact
 from cavitymagnons.dynamics import (
     BLOCK_STEPS,
     adiabatic_validity_report,
     integrate_adiabatic,
     integrate_full,
-    matrix_exponential,
-    propagate_exact,
     slaved_cavity_amplitude,
     step_count,
 )
