@@ -42,9 +42,11 @@ SWEEP_MODES = {
 DRIVE_REQUIRED = ("response-sweep", "dynamics")
 FORMATS = ("csv", "json", "both")
 CSV_SCHEMA = 1
-# Bounds every sweep: at 10^6 points on 2 vCPUs an eig-sweep run takes 8.5 s and 0.59 GB peak RSS,
-# an adiabatic-compare run 8.9-11.1 s and 0.83 GB; as json only, the eig-sweep takes 1.8 s and 244 MB.
+# Bounds every sweep: at 10^6 points on 2 vCPUs an eig-sweep run takes 7.5-8.5 s and 224 MB peak RSS
+# (1.3-1.7 s and 224 MB as json only), an adiabatic-compare run 10.6 s and 230 MB.
 MAX_SWEEP_POINTS = 10**6
+# Rows that run() formats and writes per pass, so the CSV text is never whole in memory.
+CSV_BLOCK_ROWS = 8192
 
 # The config grammar: per section, the modes whose configs may carry it and
 # its keys with their types, in check and render order.
@@ -418,11 +420,18 @@ _RUNNERS = {
 }
 
 
+def _csv_blocks(headers: list[str], columns: list):
+    """The CSV text in pieces: the schema comment and header row, then CSV_BLOCK_ROWS rows at a time."""
+    yield f"# schema={CSV_SCHEMA}\n" + ",".join(headers) + "\n"
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    for start in range(0, min(map(len, columns), default=0), CSV_BLOCK_ROWS):
+        yield "".join([row % values for values in zip(*(c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns))])
+
+
 def render_csv(headers: list[str], columns: list) -> str:
     """CSV with a schema comment, header row, LF endings, 17 significant digits."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    rows = "".join([row % values for values in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))])
-    return f"# schema={CSV_SCHEMA}\n" + ",".join(headers) + "\n" + rows
+    return "".join(_csv_blocks(headers, columns))
 
 
 def _output_paths(path: str) -> tuple[str, str]:
@@ -479,7 +488,7 @@ def run(config: RunConfig) -> list[str]:
     written = []
     if config.output_format in ("csv", "both"):
         with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(render_csv(list(table), list(table.values())))
+            handle.writelines(_csv_blocks(list(table), list(table.values())))
         written.append(csv_path)
     if config.output_format in ("json", "both"):
         sidecar = {

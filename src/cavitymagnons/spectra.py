@@ -6,16 +6,18 @@ comparable linewidths, where the eigenfrequencies repel with a minimum gap of
 eigenvalues attract and coalesce at exceptional points of the reduced two-mode
 model located at s = +/- g1*g2/kappa.
 
-Eigenvalues come from two solvers, chosen by traffic.  An s sweep builds its
-(n, 3, 3) or (n, 2, 2) matrix stack by broadcasting and takes closed-form
-roots of each characteristic polynomial with array operations over the whole
-stack (_cubic_roots, _pair_roots): at 4001 points that is about 1.1 ms for
-the full stack, where batched LAPACK zgeev took about 12 ms.  A single matrix
+Eigenvalues come from two solvers, chosen by traffic.  An s sweep takes
+closed-form roots of the characteristic polynomial straight from the rates,
+with array operations over the sweep points (_cubic_roots, _pair_roots), and
+builds no matrices: at 4001 points that is about 1.7 ms for the full model,
+where batched LAPACK zgeev takes about 18 ms on the same host.  Each linewidth
+is a Rayleigh quotient of the damping over an eigenvector, a sum of
+non-negative terms, so a passive system never shows gain.  A single matrix
 goes to LAPACK zgeev through numpy.linalg.eigvals (eigenvalues_3x3,
-_magnon_pair): about 8 us, where the array kernel costs about 60 us per call.
-The EP search also keeps zgeev: at a coalescence each solver splits the double
-root by its own ~sqrt(eps) error, and the kernel's pair mean there differs
-from zgeev's by up to ~7e-10.  Both solvers satisfy the characteristic
+_magnon_pair): about 13 us, where a one-point sweep kernel costs about
+0.12 ms.  The EP search also keeps zgeev: at a coalescence each solver splits
+the double root by its own ~sqrt(eps) error, and the kernel's pair mean there
+differs from zgeev's by up to ~7e-10.  Both solvers satisfy the characteristic
 equation to a residual |det(lambda I - H)| <= 1e-9 ||H||^3, which the tests
 check alongside LAPACK, companion-matrix and closed-form oracles.
 
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, _dressed_rates, build_adiabatic_model, build_full_hamiltonian
+from .model import SystemParams, _dressed_rates, build_full_hamiltonian
 
 # A pair of eigenvalues closer than this (in kappa units) counts as coalesced,
 # and a discriminant root this close to the real axis (in kappa units) counts as real.
@@ -167,96 +169,161 @@ def eigenvalues_3x3(matrix: np.ndarray) -> np.ndarray:
 _SQRT3_2 = math.sqrt(3.0) / 2.0
 
 
-def _stack_roots(stack: np.ndarray, roots_of_scaled) -> np.ndarray:
-    """Eigenvalues (n, k) of an (n, k, k) stack, ROOT_BLOCK_ROWS matrices per pass.
+def _cubic_coefficients(kappa, gamma1, gamma2, g1, g2):
+    """Trace shift t and real parts (k, x, y, v1, u2) of the full model's depressed cubic.
 
-    Each matrix is divided by the power of two 2**e that puts its largest real
-    or imaginary part in [1, 2), so characteristic coefficients of finite
-    entries neither overflow nor underflow; dividing and multiplying back by a
-    power of two is exact.  roots_of_scaled maps a block's scaled entries,
-    entry-major (k*k, b) so that each operation is one contiguous loop, to its
-    roots (k, b).  Raises ValueError if a root is not finite.
+    Less -i t, t = (kappa + gamma1 + gamma2)/3, H(s) has the diagonal
+    (i k, s + i b, -s + i c) with (k, b, c) = (t - kappa, t - gamma1, t - gamma2)
+    and the real couplings g1, g2, so its characteristic polynomial is
+    mu^3 + p mu + q with p = -s^2 + i x s + y and q = i k s^2 + v1 s + i u2.
+    Floats or float arrays alike.
     """
-    n, k = len(stack), stack.shape[-1]
-    roots = np.empty((k, n), dtype=complex)
-    for start in range(0, n, ROOT_BLOCK_ROWS):
-        entries = stack[start:start + ROOT_BLOCK_ROWS].reshape(-1, k * k).T.copy()
-        parts = entries.view(float)  # real and imaginary parts interleaved
-        top = np.maximum(parts.max(axis=0), -parts.min(axis=0))
-        exponent = np.maximum(np.frexp(np.maximum(top[0::2], top[1::2]))[1] - 1, -1022)
-        parts *= np.repeat(np.ldexp(1.0, -exponent), 2)
-        roots[:, start:start + ROOT_BLOCK_ROWS] = roots_of_scaled(entries) * np.ldexp(1.0, exponent)
+    t = (kappa + gamma1 + gamma2) / 3.0
+    k, b, c = t - kappa, t - gamma1, t - gamma2
+    x = c - b
+    y = -(k * b) - k * c - b * c - g1 * g1 - g2 * g2
+    v1 = (g2 * g2 - g1 * g1) + k * x
+    u2 = k * (b * c) + g1 * (g1 * c) + g2 * (b * g2)
+    return t, k, x, y, v1, u2
+
+
+def _sweep_roots(s: np.ndarray, rates: tuple, k: int, roots_of_scaled) -> np.ndarray:
+    """Eigenvalues (n, k) at the sweep points s (n,), ROOT_BLOCK_ROWS points per pass.
+
+    Each point's s and rates are divided by the power of two 2**e that puts
+    max(|s|, largest rate) in [1, 2), so characteristic coefficients of finite
+    rates neither overflow nor underflow; dividing and multiplying back by a
+    power of two is exact.  roots_of_scaled maps a block's scaled s and scaled
+    rates, each (b,), to its roots (k, b).  Raises ValueError naming the first
+    point whose roots are not finite.
+    """
+    top = max(rates)
+    roots = np.empty((k, len(s)), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, len(s), ROOT_BLOCK_ROWS):
+            block = s[start:start + ROOT_BLOCK_ROWS]
+            exponent = np.maximum(np.frexp(np.maximum(np.abs(block), top))[1] - 1, -1022)
+            scale = np.ldexp(1.0, -exponent)
+            scaled = roots_of_scaled(block * scale, *(rate * scale for rate in rates))
+            roots[:, start:start + ROOT_BLOCK_ROWS] = scaled * np.ldexp(1.0, exponent)
     roots = roots.T
     if not np.isfinite(roots).all():
         row = int(np.flatnonzero(~np.isfinite(roots).all(axis=1))[0])
-        raise ValueError(f"eigenvalues of stack row {row} are not finite: {roots[row]}")
+        raise ValueError(f"eigenvalues at sweep point {row} (s={float(s[row])!r}) are not finite: {roots[row]}")
     return roots
 
 
-def _cubic_roots(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues (n, 3) of an (n, 3, 3) stack as closed-form roots of each characteristic cubic.
+def _cubic_roots(params: SystemParams, s: np.ndarray) -> np.ndarray:
+    """Eigenvalues (n, 3) of the full model at the sweep points s, as closed-form roots of its cubic.
 
-    Each scaled matrix less a third of its trace has the depressed cubic
-    f(mu) = mu^3 + p mu + q.  Cardano: u^3 is the one of -q/2 +/- sqrt(q^2/4 +
-    p^3/27) with the larger modulus, v = -p/(3u), and the roots are
-    u w^k + v w^-k over the cube roots of unity w^k; u = 0 is the triple root
-    mu = 0.  Two guarded steps follow, each kept only where it is finite and
-    lowers |f|: one Newton step per root, which corrects the cancellation in
-    u w^k + v w^-k, and the fixed-point step mu = -q/(mu^2 + p) (Vieta's
-    -q/(mu_a mu_b)), allowed only where it contracts, 2|mu|^2 < |mu^2 + p|,
-    which holds for at most one root.  The latter gives a root much smaller
-    than the others its own relative accuracy, where f(mu) itself cannot
-    resolve q.  Every step is elementwise over the stack, so a row's roots do
-    not depend on the other rows.
+    Cardano on the depressed cubic f(mu) = mu^3 + p mu + q of
+    _cubic_coefficients: u^3 is the one of -q/2 +/- sqrt(q^2/4 + p^3/27) with
+    the larger modulus, v = -p/(3u), and the roots are u w^k + v w^-k over the
+    cube roots of unity w^k; u = 0 is the triple root mu = 0.  One Newton step
+    per root, kept only where it is finite and lowers |f|, corrects the
+    cancellation in u w^k + v w^-k.  The linewidth then comes from the
+    eigenvector: H = A - i B with A real symmetric and B = diag(kappa, gamma1,
+    gamma2), so a right eigenvector v has Im lambda = -v^H B v / v^H v, a sum
+    of non-negative terms that is <= 0 exactly, where Cardano's imaginary part
+    is only accurate to eps |lambda|.  The three cross products of the rows
+    of H - lambda are the columns of its adjugate, each a multiple of v, so
+    the quotient sums v^H B v and v^H v over all three: the largest weighs
+    most, and no point needs a choice.  Where all three vanish (g = 0,
+    gamma1 = gamma2 and s = 0) Cardano's imaginary part stays.  Every step is
+    elementwise, so a point's roots do not depend on the other points.
     """
-    return _stack_roots(h.reshape(-1, 3, 3), _scaled_cubic_roots)
+    p = params
+    return _sweep_roots(s, (p.kappa, p.gamma1, p.gamma2, p.g1, p.g2), 3, _scaled_cubic_roots)
 
 
-def _scaled_cubic_roots(entries: np.ndarray) -> np.ndarray:
-    """Roots (3, b) from the scaled entries (9, b) of a block; see _cubic_roots."""
-    h00, h01, h02, h10, h11, h12, h20, h21, h22 = entries
-    shift = (h00 + h11 + h22) / 3.0
-    h00, h11, h22 = h00 - shift, h11 - shift, h22 - shift
-    p = h00 * h11 + h00 * h22 + h11 * h22 - h01 * h10 - h02 * h20 - h12 * h21
-    q = h01 * (h10 * h22 - h12 * h20) - h00 * (h11 * h22 - h12 * h21) - h02 * (h10 * h21 - h11 * h20)
+def _scaled_cubic_roots(s, kappa, gamma1, gamma2, g1, g2) -> np.ndarray:
+    """Roots (3, b) from a block's scaled s and rates (b,); see _cubic_roots."""
+    t, k, x, y, v1, u2 = _cubic_coefficients(kappa, gamma1, gamma2, g1, g2)
+    ss = s * s
+    p = (y - ss) + 1j * (x * s)
+    q = v1 * s + 1j * (k * ss + u2)
     radical = np.sqrt(q * q / 4.0 + p * p * p / 27.0)
     # -q/2 - radical is the larger exactly when Re(q conj(radical)) > 0.
     u3 = -q / 2.0 + np.where(q.real * radical.real + q.imag * radical.imag > 0, -radical, radical)
     angle, modulus = np.angle(u3) / 3.0, np.cbrt(np.abs(u3))
     u = modulus * np.cos(angle) + 1j * (modulus * np.sin(angle))
+    v = np.where(u == 0, 0.0, -p / (3.0 * u))
+    mean, half = u + v, 1j * _SQRT3_2 * (u - v)
+    mu = np.stack([mean, -0.5 * mean + half, -0.5 * mean - half])
+    mm = mu * mu
+    f = (mm + p) * mu + q
+    step = mu - f / (3.0 * mm + p)
+    better = np.isfinite(step) & (np.abs((step * step + p) * step + q) < np.abs(f))
+    lam = np.where(better, step, mu) - 1j * t
+    # Rows (a, g1, g2), (g1, b, 0), (g2, 0, c) of H - lambda.  Their cross products
+    # (bc, -g1 c, -g2 b), (-g1 c, ac - g2^2, g1 g2) and (-g2 b, g1 g2, ab - g1^2)
+    # are the adjugate's columns; r_k sums |v_k|^2 over the three.
+    lr, li = lam.real, lam.imag
+    a_re, a_im = -lr, -kappa - li
+    b_re, b_im = s - lr, -gamma1 - li
+    c_re, c_im = -s - lr, -gamma2 - li
+    bb, cc = b_re * b_re + b_im * b_im, c_re * c_re + c_im * c_im
+    h1, h2 = g1 * g1, g2 * g2
+    h1cc, h2bb, h12 = h1 * cc, h2 * bb, h1 * h2
+    ac_re, ac_im = a_re * c_re - a_im * c_im - h2, a_re * c_im + a_im * c_re
+    ab_re, ab_im = a_re * b_re - a_im * b_im - h1, a_re * b_im + a_im * b_re
+    r0 = bb * cc + h1cc + h2bb
+    r1 = h1cc + (ac_re * ac_re + ac_im * ac_im) + h12
+    r2 = h2bb + h12 + (ab_re * ab_re + ab_im * ab_im)
+    norm = r0 + r1 + r2
+    np.copyto(li, -(kappa * r0 + gamma1 * r1 + gamma2 * r2) / norm, where=norm > 0)
+    return lam
 
-    def polish(mu, f, step, allowed):
-        f_step = (step * step + p) * step + q
-        better = np.isfinite(step) & (np.abs(f_step) < np.abs(f)) & allowed
-        return np.where(better, step, mu), np.where(better, f_step, f)
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v = np.where(u == 0, 0.0, -p / (3.0 * u))
-        mean, half = u + v, 1j * _SQRT3_2 * (u - v)
-        mu = np.stack([mean, -0.5 * mean + half, -0.5 * mean - half])
-        mm = mu * mu
-        f = (mm + p) * mu + q
-        mu, f = polish(mu, f, mu - f / (3.0 * mm + p), True)
-        mm = mu * mu
-        mu, _ = polish(mu, f, -q / (mm + p), 2.0 * np.abs(mm) < np.abs(mm + p))
-    return mu + shift
+def _pair_roots(params: SystemParams, s: np.ndarray) -> np.ndarray:
+    """Eigenvalues (n, 2) of the reduced model at the sweep points s: mean +/- sqrt(half^2 - rate^2).
 
-
-def _pair_roots(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues (n, 2) of an (n, 2, 2) stack: mean +/- sqrt(half^2 + a01*a10).
-
-    The closed form of _magnon_pair's reduced pair, on the scaled stack, so
-    half^2 neither overflows nor underflows; exact through a coalescence.
+    The closed form of _magnon_pair's reduced pair, on scaled rates, so half^2
+    neither overflows nor underflows; exact through a coalescence.  The root of
+    smaller modulus is then det/other, with det = -s^2 - (gamma1 gamma2 +
+    gamma1 g2^2/kappa + gamma2 g1^2/kappa) - i s (gamma_tilde2 - gamma_tilde1).
+    Its constant part is a sum of non-negative terms, where gamma_tilde1
+    gamma_tilde2 - rate^2 would cancel, so the narrow branch keeps its
+    accuracy where g^2/kappa >> gamma.  Where the quotient is not finite the
+    closed form stays.  Its imaginary part is then, as in _cubic_roots,
+    -v^H B v / v^H v summed over the two columns of the adjugate of H - lambda,
+    here with B = diag(gamma1, gamma2) + g g^T/kappa, so it is <= 0; the
+    larger root's is a sum of two non-positive parts.  Raises ValueError where
+    a dressed rate overflows.
     """
-    return _stack_roots(m.reshape(-1, 2, 2), _scaled_pair_roots)
+    p = params
+    rates = (*_dressed_rates(p), p.gamma1, p.gamma2, p.g1 * p.g1 / p.kappa, p.g2 * p.g2 / p.kappa)
+    if not all(map(math.isfinite, rates)):
+        raise ValueError("reduced-model matrix is not finite: gamma + g**2/kappa or g1*g2/kappa overflows")
+    return _sweep_roots(s, rates, 2, _scaled_pair_roots)
 
 
-def _scaled_pair_roots(entries: np.ndarray) -> np.ndarray:
-    """Roots (2, b) from the scaled entries (4, b) of a block; see _pair_roots."""
-    a00, a01, a10, a11 = entries
-    mean, half = (a00 + a11) / 2.0, (a00 - a11) / 2.0
-    radical = np.sqrt(half * half + a01 * a10)
-    return np.stack([mean + radical, mean - radical])
+def _scaled_pair_roots(s, gt1, gt2, rate, gamma1, gamma2, h1, h2) -> np.ndarray:
+    """Roots (2, b) from a block's scaled s and rates (b,); see _pair_roots."""
+    split = gt2 - gt1
+    mean, half = -0.5j * (gt1 + gt2), s + 0.5j * split
+    radical = np.sqrt(half * half - rate * rate)
+    # mean is imaginary, so mean + radical has the larger modulus where Im radical <= 0.
+    radical = np.where(radical.imag > 0, -radical, radical)
+    det = -(s * s + (gamma1 * gamma2 + gamma1 * h2 + gamma2 * h1)) - 1j * (s * split)
+    big = mean + radical  # Im big = Im mean + Im radical <= 0
+    small = det / big
+    small = np.where(np.isfinite(small), small, mean - radical)
+    # Rows (m00, -i rate), (-i rate, m11) of H - lambda, m00 = e1 - i g1^2/kappa and
+    # m11 = e2 - i g2^2/kappa with e1 = s - i gamma1 - lambda, e2 = -s - i gamma2 - lambda.
+    # The adjugate's columns v = (m11, i rate) and (i rate, m00) have g.v = g1 e2 and
+    # g2 e1, so v^H B v = gamma1 |v0|^2 + gamma2 |v1|^2 + |g.v|^2/kappa does not cancel.
+    lr, li = small.real, small.imag
+    e1_re, e1_im = s - lr, -gamma1 - li
+    e2_re, e2_im = -s - lr, -gamma2 - li
+    m00_im, m11_im = e1_im - h1, e2_im - h2
+    re1, re2 = e1_re * e1_re, e2_re * e2_re
+    ee1, ee2 = re1 + e1_im * e1_im, re2 + e2_im * e2_im
+    mm0, mm1 = re1 + m00_im * m00_im, re2 + m11_im * m11_im
+    rr = rate * rate
+    norm = mm0 + mm1 + (rr + rr)
+    np.copyto(li, -(gamma1 * (mm1 + rr) + gamma2 * (mm0 + rr) + h1 * ee2 + h2 * ee1) / norm, where=norm > 0)
+    return np.stack([big, small])
 
 
 @functools.lru_cache(maxsize=None)
@@ -371,9 +438,9 @@ def sweep_eigenvalues(
 
     The full three-mode spectrum is used unless adiabatic=True, which sweeps
     the reduced two-mode model instead.  Sweep points are uniform in s; the
-    whole sweep is one matrix stack whose eigenvalues are closed-form roots
-    of its characteristic polynomials, and a row's values do not depend on the
-    other rows.
+    eigenvalues are closed-form roots of the characteristic polynomial,
+    computed from the rates for all points at once, and a point's values do
+    not depend on the other points.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
@@ -383,13 +450,7 @@ def sweep_eigenvalues(
         s_values = np.linspace(s_min, s_max, n_points)
     if not np.all(np.isfinite(s_values)):
         raise ValueError(f"sweep points must be finite, got range [{s_min}, {s_max}]")
-    if adiabatic:
-        raw = build_adiabatic_model(params, s=s_values).matrix  # replaced by its eigenvalues
-        if not np.isfinite(raw).all():
-            raise ValueError("reduced-model matrix is not finite: gamma + g**2/kappa or g1*g2/kappa overflows")
-        raw = _pair_roots(raw)
-    else:
-        raw = _cubic_roots(build_full_hamiltonian(params, s=s_values))
+    raw = (_pair_roots if adiabatic else _cubic_roots)(params, s_values)
     tracked, ambiguous = track_branches(raw)
     spans = tuple(
         (float(s_values[i - 1]), float(s_values[i])) for i in ambiguous
@@ -426,13 +487,10 @@ def _magnon_pair(params: SystemParams, s: float, adiabatic: bool) -> tuple[float
 def _discriminant_polynomial(params: SystemParams) -> list[complex]:
     """Coefficients in s, highest power first, of the full model's discriminant -4c^3 - 27d^2.
 
-    H(s) = H(0) + s*diag(0, 1, -1), less a third of its trace, has the
-    characteristic cubic lambda^3 + c lambda + d with c = -s^2 + c1 s + c2 and
-    d = d0 s^2 + d1 s + d2, so the discriminant has degree 6 and leading
-    coefficient 4 - 0j.  Less t = (kappa + gamma1 + gamma2)/3, the diagonal of
-    H(0) is i(k, b, c) = i(t - kappa, t - gamma1, t - gamma2) and its couplings
-    are real, so c = (-1, i x, y) and d = (i u0, v1, i u2) for real x, y, u0,
-    v1, u2, products of the rates.  The products below are np.convolve's, bit
+    H(s), less a third of its trace, has the characteristic cubic
+    lambda^3 + c lambda + d with the coefficients of _cubic_coefficients in s,
+    c = (-1, i x, y) and d = (i u0, v1, i u2), u0 = k, so the discriminant has
+    degree 6 and leading coefficient 4 - 0j.  The products below are np.convolve's, bit
     for bit: it sums each coefficient's real*real, imag*imag, real*imag and
     imag*real products apart, in index order, and adds each part to 0.0; the
     products that are exactly zero are left out.  Each such sum holds at most
@@ -442,13 +500,7 @@ def _discriminant_polynomial(params: SystemParams) -> list[complex]:
     """
     p = params
     # Without the shift the common damping cancels in 18bcd - 4b^3 d + b^2 c^2 - ...
-    t = (p.kappa + p.gamma1 + p.gamma2) / 3.0
-    k, b, c = t - p.kappa, t - p.gamma1, t - p.gamma2
-    x = c - b
-    y = -(k * b) - k * c - b * c - p.g1 * p.g1 - p.g2 * p.g2
-    u0 = k
-    v1 = (p.g2 * p.g2 - p.g1 * p.g1) + k * x
-    u2 = k * (b * c) + p.g1 * (p.g1 * c) + p.g2 * (b * p.g2)
+    _, u0, x, y, v1, u2 = _cubic_coefficients(p.kappa, p.gamma1, p.gamma2, p.g1, p.g2)
     if not all(map(math.isfinite, (x, y, u0, v1, u2))):
         return []
     # c^2 = (1, i cc1, cc2, i cc3, cc4)

@@ -656,6 +656,23 @@ class TestMainExitCodes:
         dark = values[np.arange(11), np.argmin(np.abs(values), axis=1)]
         assert np.abs(dark + 0.01j).max() <= 1e-12
 
+    def test_huge_coupling_sweep_writes_no_gain(self, tmp_path):
+        # g = 1e40: Cardano's imaginary parts are only accurate to eps |lambda|,
+        # about 1e24 here, while every linewidth of the passive system is <= 0.
+        out = tmp_path / "out.csv"
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text("[run]\nmode = eig-sweep\n[system]\ng1 = 1e40\ng2 = 1e40\n"
+                               f"[sweep]\nmin = -1\nmax = 1\npoints = 11\n[output]\npath = {out}\nformat = csv\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cavitymagnons", "--config", str(config_path)],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        headers, rows = read_csv(out)
+        widths = rows[:, [j for j, name in enumerate(headers) if name.startswith("im_")]]
+        assert widths.shape == (11, 3)
+        assert widths.max() <= 0
+
     def test_huge_coupling_response_sweep_stays_finite(self, tmp_path):
         # g = 1e200: g^2 in det(H - delta) overflows unless the matrix is scaled first.
         out = tmp_path / "out.csv"

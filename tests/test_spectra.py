@@ -6,6 +6,7 @@ import math
 import re
 import struct
 import time
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -15,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from cavitymagnons import model as model_module
 from cavitymagnons import spectra
 from cavitymagnons.closed_forms import adiabatic_eigenvalues, closed_form_symmetric, weak_coupling_approx
 from cavitymagnons.model import SystemParams, build_adiabatic_model, build_full_hamiltonian
@@ -277,8 +279,9 @@ class TestRootKernels:
     @given(params_strategy, st.floats(min_value=1e-3, max_value=6.0), st.integers(min_value=1, max_value=40))
     @settings(max_examples=100, deadline=None)
     def test_roots_satisfy_characteristic_equation(self, params, half_width, n):
-        h = build_full_hamiltonian(params, s=np.linspace(-half_width, half_width, n))
-        for matrix, roots in zip(h, _cubic_roots(h)):
+        s_values = np.linspace(-half_width, half_width, n)
+        h = build_full_hamiltonian(params, s=s_values)
+        for matrix, roots in zip(h, _cubic_roots(params, s_values)):
             norm = np.linalg.norm(matrix)
             for lam in roots:
                 assert char_poly_residual(matrix, lam) <= 1e-9 * max(1.0, norm) ** 3
@@ -286,8 +289,9 @@ class TestRootKernels:
     @given(params_strategy, st.floats(min_value=1e-3, max_value=6.0), st.integers(min_value=1, max_value=40))
     @settings(max_examples=100, deadline=None)
     def test_root_sum_and_product(self, params, half_width, n):
-        h = build_full_hamiltonian(params, s=np.linspace(-half_width, half_width, n))
-        for matrix, roots in zip(h, _cubic_roots(h)):
+        s_values = np.linspace(-half_width, half_width, n)
+        h = build_full_hamiltonian(params, s=s_values)
+        for matrix, roots in zip(h, _cubic_roots(params, s_values)):
             trace = np.trace(matrix)
             det = np.linalg.det(matrix)
             # Tiered as for eigenvalues_3x3: a degenerate cluster carries the
@@ -303,29 +307,28 @@ class TestRootKernels:
     def test_roots_match_lapack(self, params, half_width, n):
         s_values = np.linspace(-half_width, half_width, n)
         h = build_full_hamiltonian(params, s=s_values)
-        for matrix, roots in zip(h, _cubic_roots(h)):
+        for matrix, roots in zip(h, _cubic_roots(params, s_values)):
             assert_matches_lapack(roots, matrix)
         m = build_adiabatic_model(params, s=s_values).matrix
-        for matrix, roots in zip(m, _pair_roots(m)):
+        for matrix, roots in zip(m, _pair_roots(params, s_values)):
             assert_matches_lapack(roots, matrix)
 
     @given(params_strategy, st.integers(min_value=1, max_value=40))
     @settings(max_examples=50, deadline=None)
     def test_one_row_stack_equals_its_row_of_the_sweep(self, params, n):
         s_values = np.linspace(-abs(params.s) - 1.0, abs(params.s) + 1.0, n)
-        full = _cubic_roots(build_full_hamiltonian(params, s=s_values))
-        pair = _pair_roots(build_adiabatic_model(params, s=s_values).matrix)
-        for i, s in enumerate(s_values):
-            point = replace(params, s=float(s))
-            assert np.array_equal(_cubic_roots(build_full_hamiltonian(point)), full[i:i + 1])
-            assert np.array_equal(_pair_roots(build_adiabatic_model(point).matrix), pair[i:i + 1])
+        full = _cubic_roots(params, s_values)
+        pair = _pair_roots(params, s_values)
+        for i in range(n):
+            assert np.array_equal(_cubic_roots(params, s_values[i:i + 1].copy()), full[i:i + 1])
+            assert np.array_equal(_pair_roots(params, s_values[i:i + 1].copy()), pair[i:i + 1])
 
     def test_linewidths_match_lapack(self):
         # Narrow magnons at strong coupling: |Im lambda| is 1e-4 (the dark-like
         # root) and 0.5 (the polaritons) against |lambda| up to ~140.
         params = SystemParams(kappa=1, gamma1=1e-4, gamma2=1e-4, g1=50, g2=50)
-        h = build_full_hamiltonian(params, s=np.linspace(-100, 100, 2001))
-        roots, oracle = _cubic_roots(h), np.linalg.eigvals(h)
+        s_values = np.linspace(-100, 100, 2001)
+        roots, oracle = _cubic_roots(params, s_values), np.linalg.eigvals(build_full_hamiltonian(params, s=s_values))
         # The real parts are at least 2 g apart, so sorting on them pairs the roots.
         roots = np.take_along_axis(roots, np.argsort(roots.real, axis=1), axis=1)
         oracle = np.take_along_axis(oracle, np.argsort(oracle.real, axis=1), axis=1)
@@ -337,43 +340,51 @@ class TestRootKernels:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_cardano_takes_the_larger_branch(self, sign):
-        # A cyclic shift has p = 0 and q = -sign: one of -q/2 +/- sqrt(q^2/4) is
-        # exactly 0, and taking it would read as a triple root.
-        h = sign * np.roll(np.eye(3, dtype=complex), 1, axis=1)
-        assert_matches_lapack(_cubic_roots(h)[0], h)
+        # Scaled by 1/4, kappa = 4, gamma = g = 1 and s = +/-1 give p = 0 and
+        # q = -2i/64 exactly: one of -q/2 +/- sqrt(q^2/4) is exactly 0, and
+        # taking it would read as a triple root.
+        params = SystemParams(kappa=4, gamma1=1, gamma2=1, g1=1, g2=1)
+        assert_matches_lapack(_cubic_roots(params, np.array([sign]))[0], build_full_hamiltonian(params, s=sign))
 
     def test_blocks_do_not_change_the_roots(self, monkeypatch):
         s_values = np.linspace(-3.0, 3.0, 2 * ROOT_BLOCK_ROWS + 1)
-        h = build_full_hamiltonian(SystemParams(), s=s_values)
-        m = build_adiabatic_model(SystemParams(), s=s_values).matrix
-        full, pair = _cubic_roots(h), _pair_roots(m)
+        full, pair = _cubic_roots(SystemParams(), s_values), _pair_roots(SystemParams(), s_values)
         monkeypatch.setattr(spectra, "ROOT_BLOCK_ROWS", len(s_values))
-        assert np.array_equal(_cubic_roots(h), full)
-        assert np.array_equal(_pair_roots(m), pair)
+        assert np.array_equal(_cubic_roots(SystemParams(), s_values), full)
+        assert np.array_equal(_pair_roots(SystemParams(), s_values), pair)
 
     @pytest.mark.parametrize("rate", [1.0, 0.25, 3.0])
     def test_triple_root_without_coupling(self, rate):
         # Equal diagonals and g = 0: p = q = 0 exactly, so u = 0 and all three roots are the shift.
-        h = build_full_hamiltonian(SystemParams(kappa=rate, gamma1=rate, gamma2=rate, g1=0, g2=0, s=0))
-        assert np.array_equal(_cubic_roots(h), np.full((1, 3), -1j * rate))
+        params = SystemParams(kappa=rate, gamma1=rate, gamma2=rate, g1=0, g2=0)
+        assert np.array_equal(_cubic_roots(params, np.zeros(1)), np.full((1, 3), -1j * rate))
 
     def test_pair_roots_are_exact_at_the_reduced_coalescence(self):
         # g1 g2 / kappa = 0.25 and s = 0.25 are exact in binary: half^2 + a01 a10 = 0.
-        m = build_adiabatic_model(SystemParams(kappa=1, gamma1=0.5, gamma2=0.5, g1=0.5, g2=0.5, s=0.25)).matrix
-        assert np.array_equal(_pair_roots(m), np.full((1, 2), -0.75j))
+        params = SystemParams(kappa=1, gamma1=0.5, gamma2=0.5, g1=0.5, g2=0.5)
+        assert np.array_equal(_pair_roots(params, np.array([0.25])), np.full((1, 2), -0.75j))
 
     def test_non_finite_roots_raise(self):
-        h = np.stack([np.eye(3, dtype=complex), np.eye(3, dtype=complex)])
-        h[1, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="stack row 1"):
-            _cubic_roots(h)
+        # The bright polaritons sit near +/-sqrt(2) g, which overflows.
+        params = SystemParams(g1=1.5e308, g2=1.5e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("sweep point 0 (s=-0.5)")):
+                _cubic_roots(params, np.array([-0.5, 0.5]))
 
     @pytest.mark.parametrize("adiabatic", [False, True])
     def test_sweeps_make_no_lapack_call(self, monkeypatch, adiabatic):
         def refuse(*args, **kwargs):
             raise AssertionError("a sweep called np.linalg.eigvals")
 
+        def refuse_build(*args, **kwargs):
+            raise AssertionError("a sweep built a model matrix")
+
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for module in (model_module, spectra):
+            for name in ("build_full_hamiltonian", "build_adiabatic_model"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse_build)
         branch_set = sweep_eigenvalues(SystemParams(), -0.2, 0.2, 51, adiabatic=adiabatic)
         assert np.isfinite(branch_set.branches).all()
 
@@ -392,6 +403,60 @@ class TestRootKernels:
             for lam in roots / c:
                 assert char_poly_residual(h, lam) <= 1e-9 * max(1.0, norm) ** 3
             assert best_match_errors(roots / c, unit_roots).max() < 1e-9
+
+
+class TestPassiveLinewidths:
+    """Both sweep kernels write Im lambda <= 0, from g = 1 to g = 1e300.
+
+    H = A - i B with A real symmetric and B positive semidefinite, so every
+    eigenvalue of the passive system has Im lambda <= 0.  At g >> kappa the
+    bright polaritons of the full model sit at -(kappa + gamma)/2 and its dark
+    root at -gamma; the reduced model's narrow branch sits at -gamma once
+    g^2/kappa >> gamma.
+    """
+
+    S_VALUES = np.linspace(-1.0, 1.0, 11)
+
+    @pytest.mark.parametrize("gamma", [0.01, 1.0, 0.0])
+    def test_full_model(self, gamma):
+        for e in range(0, 301, 10):
+            roots = _cubic_roots(SystemParams(gamma1=gamma, gamma2=gamma, g1=10.0 ** e, g2=10.0 ** e), self.S_VALUES)
+            assert roots.imag.max() <= 0, f"g = 1e{e}"
+            if gamma > 0 and e >= 10:
+                widths = np.sort(roots.imag, axis=1)
+                assert_allclose(widths[:, :2], -(1.0 + gamma) / 2, rtol=1e-12, atol=0, err_msg=f"g = 1e{e}")
+                assert_allclose(widths[:, 2], -gamma, rtol=1e-12, atol=0, err_msg=f"g = 1e{e}")
+
+    @pytest.mark.parametrize("gamma", [0.01, 1.0, 0.0])
+    def test_reduced_model(self, gamma):
+        for e in [8, *range(0, 301, 10)]:
+            params = SystemParams(gamma1=gamma, gamma2=gamma, g1=10.0 ** e, g2=10.0 ** e)
+            if not math.isfinite(params.g1 * params.g1):
+                with pytest.raises(ValueError, match="reduced-model matrix is not finite"):
+                    _pair_roots(params, self.S_VALUES)
+                continue
+            roots = _pair_roots(params, self.S_VALUES)
+            assert roots.imag.max() <= 0, f"g = 1e{e}"
+            if gamma > 0 and e >= 8:
+                # The narrow branch is -gamma - s^2 kappa/(2 g^2) to leading order.
+                assert_allclose(roots.imag.max(axis=1), -gamma, rtol=1e-12, atol=0, err_msg=f"g = 1e{e}")
+
+    def test_reduced_narrow_branch_with_unequal_rates(self):
+        # At g^2/kappa >> gamma the narrow branch is the dark combination
+        # (g2, -g1), whose linewidth is -(g2^2 gamma1 + g1^2 gamma2)/|g|^2.
+        params = SystemParams(kappa=0.7, gamma1=0.013, gamma2=0.029, g1=1.3e10, g2=2.9e10)
+        roots = _pair_roots(params, self.S_VALUES)
+        expected = -(2.9**2 * 0.013 + 1.3**2 * 0.029) / (2.9**2 + 1.3**2)
+        assert_allclose(roots.imag.max(axis=1), expected, rtol=1e-12, atol=0)
+
+    # g1 = gamma1 = 0: magnon 1 is decoupled and lossless, its eigenvalue s exactly real.
+    @example(SystemParams(kappa=1, gamma1=0, gamma2=0.5, g1=0, g2=0.3), 1.0, 21)
+    @given(params_strategy, st.floats(min_value=1e-3, max_value=6.0), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=200, deadline=None)
+    def test_no_linewidth_is_positive(self, params, half_width, n):
+        s_values = np.linspace(-half_width, half_width, n)
+        assert _cubic_roots(params, s_values).imag.max() <= 0
+        assert _pair_roots(params, s_values).imag.max() <= 0
 
 
 class TestClosedFormSymmetric:
@@ -497,7 +562,7 @@ class TestBranchTracking:
         for i, s in enumerate(branch_set.sweep_values):
             h = build_full_hamiltonian(SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0.2, g2=0.2, s=float(s)))
             # The sweep's roots at s, reordered only: a one-row stack gives them bit for bit.
-            raw = _cubic_roots(h)[0]
+            raw = _cubic_roots(params, np.array([s]))[0]
             assert best_match_errors(np.sort_complex(branch_set.branches[i]), np.sort_complex(raw)).max() == 0
             assert_matches_lapack(raw, h)
 
@@ -512,7 +577,7 @@ class TestBranchTracking:
         params = SystemParams(kappa=1, gamma1=1, gamma2=1, g1=2, g2=2, s=0.5)
         branch_set = sweep_eigenvalues(params, 0.5, 0.5, 1)
         h = build_full_hamiltonian(params)
-        assert best_match_errors(branch_set.branches[0], _cubic_roots(h)[0]).max() == 0
+        assert best_match_errors(branch_set.branches[0], _cubic_roots(params, np.array([0.5]))[0]).max() == 0
         assert_matches_lapack(branch_set.branches[0], h)
 
     def test_identity_preferred_on_ties(self):
@@ -629,9 +694,9 @@ class TestBranchTracking:
         # orders to decide which steps take the exact k! x k! scoring.
         s_values = np.linspace(-3.0, 3.0, n)
         if adiabatic:
-            raw = _pair_roots(build_adiabatic_model(params, s=s_values).matrix)
+            raw = _pair_roots(params, s_values)
         else:
-            raw = _cubic_roots(build_full_hamiltonian(params, s=s_values))
+            raw = _cubic_roots(params, s_values)
         tracked, ambiguous = track_branches(raw, 0.0)
         expected, expected_ambiguous = track_branches_reference(raw, 0.0)
         assert np.array_equal(tracked, expected)
