@@ -9,7 +9,11 @@ Writes CSV tables plus JSON sidecars with the detected gap minima."""
 import argparse
 from pathlib import Path
 
-from cavitymagnons.cli import parse_config, run
+from cavitymagnons.entry import default_to_one_blas_thread
+
+default_to_one_blas_thread()  # before cavitymagnons.cli loads numpy
+
+from cavitymagnons.cli import parse_config, run  # noqa: E402
 
 REPULSION = """\
 [run]

@@ -9,7 +9,11 @@ point s = g^2/kappa = 0.04 (a partial window with |r(0)|^2 ~ 0.10)."""
 import argparse
 from pathlib import Path
 
-from cavitymagnons.cli import parse_config, run
+from cavitymagnons.entry import default_to_one_blas_thread
+
+default_to_one_blas_thread()  # before cavitymagnons.cli loads numpy
+
+from cavitymagnons.cli import parse_config, run  # noqa: E402
 
 TEMPLATE = """\
 [run]

@@ -9,7 +9,11 @@ s = 0, where the dark mode extinguishes the central resonance.  Bad cavity
 import argparse
 from pathlib import Path
 
-from cavitymagnons.cli import parse_config, run
+from cavitymagnons.entry import default_to_one_blas_thread
+
+default_to_one_blas_thread()  # before cavitymagnons.cli loads numpy
+
+from cavitymagnons.cli import parse_config, run  # noqa: E402
 
 TEMPLATE = """\
 [run]

@@ -20,10 +20,10 @@ _EXPORTS = {
     ),
     "response": (
         "ResponsePoint", "SpectrumSweep",
-        "reflection_transmission", "resonance_peak_height", "spincurrent_spectrum", "steady_state",
+        "reflection_transmission", "spincurrent_spectrum", "steady_state",
     ),
     "dynamics": ("Trajectory", "adiabatic_validity_report", "integrate_adiabatic", "integrate_full"),
-    "closed_forms": ("propagate_exact",),
+    "closed_forms": ("propagate_exact", "resonance_peak_height"),
     "cli": ("RunConfig", "parse_config", "run"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -6,7 +6,9 @@ two-mode eigenvalues, the printed magnon response, the symmetric response
 whose central pole cancels, the zero-detuning scattering, the mean-field drift
 of the equivalent Lindblad model and the material-level coupling estimate.
 It also holds the exact propagator exp(-i(H - delta)t) of the driven system,
-propagate_exact, the oracle for the RK4 integrator.  Its matrix exponential is
+propagate_exact, the oracle for the RK4 integrator, and resonance_peak_height,
+the symmetric system's total spincurrent at zero detuning from the exact
+steady state.  Its matrix exponential is
 scipy's expm, imported when that oracle first runs: scipy is a test
 dependency, not a runtime one.
 The runtime modules compute every observable from the exact matrices and never
@@ -21,6 +23,7 @@ import math
 import numpy as np
 
 from .model import HBAR, AdiabaticModel, DriveParams, SystemParams, build_driven_system
+from .response import steady_state
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -242,6 +245,21 @@ def zero_detuning_scattering_closed_form(params: SystemParams) -> tuple[complex,
     big_gamma = p.g1 ** 2 / p.kappa
     t = (p.s ** 2 + gamma ** 2) / (p.s ** 2 + gamma ** 2 + 2.0 * gamma * big_gamma)
     return t - 1.0, complex(t)
+
+
+def resonance_peak_height(params: SystemParams, amplitude: float = 1.0) -> float:
+    """Total spincurrent at zero drive detuning for the symmetric system.
+
+    Requires kappa == gamma1 == gamma2 and g1 == g2.  Computed from the exact
+    steady state; as a function of s this height is minimal at s = 0, where
+    the dark mode swallows the central resonance.
+    """
+    p = params
+    if not (p.kappa == p.gamma1 == p.gamma2):
+        raise ValueError("peak height requires kappa == gamma1 == gamma2")
+    if p.g1 != p.g2:
+        raise ValueError("peak height requires g1 == g2")
+    return steady_state(p, DriveParams(delta=0.0, amplitude=amplitude)).total_spincurrent
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:

@@ -10,24 +10,28 @@ two-mode reduction dY/dt = -i H_tilde Y shares the same stepper.
 On a linear ODE one RK4 step is exactly the affine map y <- P y + q, with
 P = sum_{j<=4} (hA)^j / j!.  The stepper builds that map once, as the
 augmented matrix M = [[P, q], [0, 1]] acting on [y; 1], or as P alone for a
-run without force (q is then exactly 0), and propagates with two levels of
-its powers: level 1 is M^1 .. M^64, level 2 is M^64, M^128 .. M^4032.  One
-pass applies level 2 to the current state to get up to 64 anchors 64 steps
-apart, then level 1 to every anchor, so it writes up to 4096 trajectory rows
-with two real matrix products, both BLAS calls.  With stride > 1 the same
-passes run on M^stride (built by repeated squaring) and return every
-stride-th row plus the final step, so a run costs O(log stride + rows)
-products and O(rows) memory rather than O(t_end/dt).  The map also gives the
-exact stability rule: the step is rejected when the spectral radius of P
-exceeds 1 by more than rounding (the eigenvalues of P are R(h lambda) for the
-RK4 stability polynomial R).  Runs longer than MAX_STEPS steps are rejected
-before any storage is allocated.
+run without force (q is then exactly 0), and turns it into its real form V,
+which maps the interleaved real and imaginary parts of the input to those of
+the next step.  It propagates with two levels of powers of V, built by
+doubling with real BLAS products and kept as the state rows of the powers
+side by side: level 1 holds V^1 .. V^64, level 2 V^64, V^128 .. V^4032.
+One pass applies level 2 to the current state to get up to 64 anchors 64 steps apart, then level 1 to every
+anchor, so it writes up to 4096 trajectory rows with two real matrix
+products.  With stride > 1 the same passes run on V^stride (built by
+repeated squaring) and return every stride-th row plus the final step, so a
+run costs O(log stride + rows) products and O(rows) memory rather than
+O(t_end/dt).  The map also gives the exact stability rule: the step is
+rejected when the spectral radius of P exceeds 1 by more than rounding (the
+eigenvalues of P are R(h lambda) for the RK4 stability polynomial R).  Runs
+longer than MAX_STEPS steps are rejected before any storage is allocated.
 
 The reduced model runs in the full model's 3-mode layout (a, m1, m2), with a
 zero cavity row and column, and returns the magnon columns.  A BLAS product
 sums in an order set by its shapes, so the full and reduced runs share every
 shape: that, and the exact zeros of a decoupled model, keep decoupled magnons
-bit for bit the same in both models.
+bit for bit the same in both models.  Every product that writes states sums
+over the input axis in order, so the trailing [1, 0] of an augmented input,
+against a q of exactly 0, leaves the rows of a free run unchanged.
 """
 
 from __future__ import annotations
@@ -100,15 +104,6 @@ def step_count(t_end: float, dt: float) -> int:
     return max(1, round(ratio))
 
 
-def _matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # The small setup products (step map, powers) stay on einsum: a stacked
-    # matmul of 3x3 or 4x4 blocks is no faster.  The row pass in _propagate is
-    # a BLAS product.  Decoupled magnons agree bit for bit between the full and
-    # reduced models because both run in the MODES-mode layout: each product,
-    # einsum or BLAS, has the same shapes in both and so sums in the same order.
-    return np.einsum("...ij,jk->...ik", x, y, out=out)
-
-
 def _step_map(a: np.ndarray, force: np.ndarray, h: float) -> np.ndarray:
     """RK4 step map for dy/dt = A y + F: P when F = 0, else M = [[P, q], [0, 1]] on [y; 1].
 
@@ -119,75 +114,76 @@ def _step_map(a: np.ndarray, force: np.ndarray, h: float) -> np.ndarray:
     k = force.size
     eye = np.eye(k)
     z = h * a
-    z2 = _matmul(z, z)
-    s = eye + z / 2 + z2 / 6 + _matmul(z2, z) / 24
-    p = eye + _matmul(z, s)
+    z2 = z @ z
+    s = eye + z / 2 + z2 / 6 + z2 @ z / 24
+    p = eye + z @ s
     if not force.any():
         return p
     m = np.zeros((k + 1, k + 1), dtype=complex)
     m[:k, :k] = p
-    m[:k, k] = h * np.einsum("ij,j->i", s, force)
+    m[:k, k] = h * (s @ force)
     m[k, k] = 1.0
     return m
 
 
-def _block_powers(m: np.ndarray) -> np.ndarray:
-    """M^1 .. M^BLOCK_STEPS stacked along the first axis, by repeated doubling."""
-    powers = np.empty((BLOCK_STEPS, *m.shape), dtype=complex)
-    powers[0] = m
+def _real_form(r: np.ndarray) -> np.ndarray:
+    """The real (2 size, 2 size) matrix V with V flat(y) = flat(R y).
+
+    flat views a complex vector as its interleaved real and imaginary parts;
+    the first 2k rows of V^j give the first k modes of R^j y.
+    """
+    size = len(r)
+    v = np.empty((size, 2, size, 2))
+    v[:, 0, :, 0] = v[:, 1, :, 1] = r.real
+    v[:, 0, :, 1] = -r.imag
+    v[:, 1, :, 0] = r.imag
+    return v.reshape(2 * size, 2 * size)
+
+
+def _side_by_side(v: np.ndarray, count: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first k rows of V^1 .. V^count side by side, and V^(2^ceil(log2 count)).
+
+    The (2 size, count k) array maps an input row to the count states that
+    follow it.  By doubling: with V^d in hand, the next d row blocks are the
+    first d times V^d, one real product, and V^d is then squared.
+    """
+    rows = np.empty((count * k, len(v)))
+    rows[:k] = v[:k]
     done = 1
-    while done < BLOCK_STEPS:
-        count = min(done, BLOCK_STEPS - done)
-        _matmul(powers[:count], powers[done - 1], out=powers[done:done + count])
-        done += count
-    return powers
+    while done < count:
+        step = min(done, count - done)
+        np.dot(rows[:step * k], v, out=rows[done * k:(done + step) * k])
+        v = np.dot(v, v)
+        done += step
+    return np.ascontiguousarray(rows.T), v
 
 
-def _matrix_power(m: np.ndarray, exponent: int) -> np.ndarray:
-    """M^exponent for exponent >= 1, by repeated squaring."""
+def _matrix_power(v: np.ndarray, exponent: int) -> np.ndarray:
+    """V^exponent for exponent >= 1, by repeated squaring."""
     result = None
     while True:
         if exponent & 1:
-            result = m if result is None else _matmul(result, m)
+            result = v if result is None else np.dot(result, v)
         exponent >>= 1
         if not exponent:
             return result
-        m = _matmul(m, m)
+        v = np.dot(v, v)
 
 
-def _side_by_side(powers: np.ndarray, k: int) -> np.ndarray:
-    """The top k rows of n powers of the step map as one real (2 size, 2nk) array.
-
-    An augmented power keeps the last row (0, ..., 0, 1), so only its top k
-    rows are applied.  The array acts on the map's input ([y; 1] or y) viewed
-    as interleaved real and imaginary parts and gives the n states side by
-    side in the same layout, so a row pass is one real matrix product.
-    """
-    n, size, _ = powers.shape
-    top = powers[:, :k].transpose(2, 0, 1)
-    real = np.empty((size, 2, n, k, 2))
-    real[:, 0, ..., 0] = top.real
-    real[:, 0, ..., 1] = top.imag
-    real[:, 1, ..., 0] = -top.imag
-    real[:, 1, ..., 1] = top.real
-    return real.reshape(2 * size, 2 * n * k)
-
-
-def _propagate(r: np.ndarray, states: np.ndarray, n_rows: int) -> None:
+def _propagate(v: np.ndarray, states: np.ndarray, n_rows: int) -> None:
     """Fill states[1 : n_rows + 1] with y_{j+1} = R y_j from states[0].
 
-    R is the k x k map of a free run or the augmented map acting on [y; 1].
-    Each pass makes BLOCK_STEPS anchors R^(64 c) y from the level-2 powers and
-    expands each into 64 rows with the level-1 powers, BLOCK_STEPS**2 rows in
-    all, written straight into states by one BLAS product.  Passes write whole
-    blocks of 64 rows, so states needs room up to the first multiple of 64 at
-    or past n_rows.
+    V is the real form of R, the k x k map of a free run or the augmented map
+    acting on [y; 1].  Each pass makes BLOCK_STEPS anchors R^(64 c) y from the
+    level-2 powers and expands each into 64 rows with the level-1 powers,
+    BLOCK_STEPS**2 rows in all, written straight into states by one BLAS
+    product.  Passes write whole blocks of 64 rows, so states needs room up to
+    the first multiple of 64 at or past n_rows.
     """
     k = states.shape[1]
-    level1 = _block_powers(r)
-    rows_from_anchor = _side_by_side(level1, k)
-    anchors_from_state = _side_by_side(_block_powers(level1[-1])[:-1], k)
-    anchors = np.ones((BLOCK_STEPS, r.shape[0]), dtype=complex)
+    rows_from_anchor, v64 = _side_by_side(v, BLOCK_STEPS, 2 * k)
+    anchors_from_state, _ = _side_by_side(v64, BLOCK_STEPS - 1, 2 * k)
+    anchors = np.ones((BLOCK_STEPS, len(v) // 2), dtype=complex)
     flat = anchors.view(float)
     n_blocks = -(-n_rows // BLOCK_STEPS)
     for first in range(0, n_blocks, BLOCK_STEPS):
@@ -233,10 +229,12 @@ def _integrate_linear(
     buffer = np.empty((-(-n_rows // BLOCK_STEPS) * BLOCK_STEPS + 2, MODES), dtype=complex)
     buffer[0, :lead] = 0.0
     buffer[0, lead:] = state0
-    _propagate(_matrix_power(m, stride), buffer, n_rows)
+    v = _real_form(m)
+    _propagate(_matrix_power(v, stride), buffer, n_rows)
     if tail:
         last = buffer[n_rows] if len(m) == MODES else np.append(buffer[n_rows], 1.0)
-        np.einsum("ij,j->i", _matrix_power(m, tail)[:MODES], last, out=buffer[n_rows + 1])
+        state_rows = _matrix_power(v, tail)[:2 * MODES].T.copy()  # input axis on the rows, as in _propagate
+        np.matmul(last.view(float), state_rows, out=buffer[n_rows + 1].view(float))
     times = np.arange(n_rows + 1 + bool(tail), dtype=float)
     times *= stride  # exact: whole numbers below 2**53
     times *= h

@@ -290,21 +290,6 @@ def spincurrent_spectrum(
     return SpectrumSweep(deltas=deltas, states=states, t=t, peaks=tuple(peaks))
 
 
-def resonance_peak_height(params: SystemParams, amplitude: float = 1.0) -> float:
-    """Total spincurrent at zero drive detuning for the symmetric system.
-
-    Requires kappa == gamma1 == gamma2 and g1 == g2.  Computed from the exact
-    steady state; as a function of s this height is minimal at s = 0, where
-    the dark mode swallows the central resonance.
-    """
-    p = params
-    if not (p.kappa == p.gamma1 == p.gamma2):
-        raise ValueError("peak height requires kappa == gamma1 == gamma2")
-    if p.g1 != p.g2:
-        raise ValueError("peak height requires g1 == g2")
-    return steady_state(p, DriveParams(delta=0.0, amplitude=amplitude)).total_spincurrent
-
-
 def reflection_transmission(params: SystemParams, drive: DriveParams) -> tuple[complex, complex]:
     """Reflection and transmission coefficients (r, t) of the cavity port.
 

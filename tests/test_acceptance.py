@@ -21,6 +21,7 @@ from cavitymagnons.closed_forms import (
     closed_form_symmetric,
     lindblad_mean_field_drift,
     propagate_exact,
+    resonance_peak_height,
     weak_coupling_approx,
 )
 from cavitymagnons.dynamics import (
@@ -35,7 +36,6 @@ from cavitymagnons.model import (
 )
 from cavitymagnons.response import (
     reflection_transmission,
-    resonance_peak_height,
     spincurrent_spectrum,
     steady_state,
 )

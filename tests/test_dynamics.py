@@ -58,10 +58,12 @@ def accurate_dt(matrix) -> float:
     return 0.1 / max(1.0, np.linalg.norm(matrix, 2))
 
 
-# Step counts that end mid-block, so partial blocks are covered.
-step_counts = st.sampled_from([1, BLOCK_STEPS - 1, BLOCK_STEPS + 1, 3 * BLOCK_STEPS + 5])
-# One pass of the stepper writes BLOCK_STEPS**2 rows; these end around and past it.
+# One pass of the stepper writes BLOCK_STEPS**2 rows.
 PASS_STEPS = BLOCK_STEPS**2
+# Step counts that end mid-block, so partial blocks are covered, and on the edges of a block and a pass.
+step_counts = st.sampled_from([1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 3 * BLOCK_STEPS + 5,
+                               PASS_STEPS - 1, PASS_STEPS])
+# These end around and past one pass.
 pass_step_counts = pytest.mark.parametrize("n_steps", [PASS_STEPS - 1, PASS_STEPS, PASS_STEPS + 1, 2 * PASS_STEPS + 5])
 unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
 
@@ -138,6 +140,25 @@ class TestBlockStepperMatchesReference:
         t_end = n_steps * dt
         traj = integrate_adiabatic(model, y0, t_end, dt)
         assert_matches_reference(traj.states, rk4_reference(-1j * model.matrix, np.zeros(2), y0, t_end, n_steps))
+
+
+class TestAnchorRows:
+    def test_driven_run_matches_the_exact_propagator_at_every_anchor_and_pass_boundary(self):
+        # Rows at multiples of BLOCK_STEPS come from the level-2 powers, those at
+        # multiples of PASS_STEPS start a pass from the last row of the one before:
+        # rounding in those powers compounds there.  At h |A| <= 1e-3 the RK4
+        # truncation error is below 1e-16 per step, so rounding dominates.  The
+        # bound is the error that complex powers of the step map gave on this run,
+        # 1.44e-13 of the largest exact state, rounded up; real powers give 7.6e-14.
+        drive = DriveParams(delta=0.1, amplitude=1.0)
+        x0 = np.array([0.2 - 0.7j, 0.5 + 0.1j, 0.3 - 0.4j])
+        dt = 0.01 * accurate_dt(build_driven_system(RINGING, drive).matrix)
+        n_steps = 3 * PASS_STEPS + 5
+        traj = integrate_full(RINGING, drive, x0, n_steps * dt, dt)
+        rows = np.arange(0, n_steps + 1, BLOCK_STEPS)
+        assert np.count_nonzero(rows % PASS_STEPS == 0) == 4
+        exact = np.array([propagate_exact(RINGING, drive, x0, float(traj.times[row])) for row in rows])
+        assert np.abs(traj.states[rows] - exact).max() <= 2e-13 * np.abs(exact).max()
 
 
 class TestStride:

@@ -1,13 +1,21 @@
 """The package's import surface and its declared dependencies."""
 
 import ast
+import os
 import subprocess
 import sys
 import tomllib
 from pathlib import Path
 
+import pytest
+
+from cavitymagnons.entry import default_to_one_blas_thread
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cavitymagnons"
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+# The thread-count variables that OpenBLAS reads.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def run_python(script: str) -> str:
@@ -71,3 +79,80 @@ def test_numpy_is_the_only_runtime_dependency():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert imported - set(sys.stdlib_module_names) - {"cavitymagnons"} == {"numpy"}
+
+
+@pytest.mark.parametrize("environ,expected", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": ""}, "1"),
+    ({"OMP_NUM_THREADS": ""}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"OMP_NUM_THREADS": "2"}, None),
+    ({"GOTO_NUM_THREADS": "2"}, None),
+])
+def test_one_blas_thread_unless_the_environment_names_a_count(monkeypatch, environ, expected):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    default_to_one_blas_thread()
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == expected
+    for name in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert os.environ.get(name) == environ.get(name)
+
+
+def child_env(threads) -> dict:
+    """This environment without the BLAS thread variables, plus OPENBLAS_NUM_THREADS=threads unless None."""
+    env = {name: value for name, value in os.environ.items() if name not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
+@pytest.mark.parametrize("threads,expected", [(None, "1"), ("2", "2")])
+def test_the_module_entry_sets_the_default_before_numpy_loads(threads, expected):
+    # The spy records the variable when numpy is first imported; a bad flag
+    # then ends the run with a config error.
+    script = (
+        "import os, runpy, sys\n"
+        "seen = []\n"
+        "class Spy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Spy())\n"
+        "sys.argv = ['cavitymagnons', '--format', 'nope']\n"
+        "try:\n"
+        "    runpy.run_module('cavitymagnons', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, *seen)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env(threads),
+                          timeout=60)
+    assert proc.stdout.split() == ["1", expected], proc.stderr
+
+
+def test_console_script_and_scripts_set_the_default_before_the_cli_loads():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"cavity-magnons": "cavitymagnons.entry:main"}
+    assert len(SCRIPTS) == 3
+    for path in SCRIPTS:
+        body = ast.parse(path.read_text()).body
+        calls = [i for i, node in enumerate(body) if isinstance(node, ast.Expr)
+                 and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", "") == "default_to_one_blas_thread"]
+        cli = [i for i, node in enumerate(body) if isinstance(node, ast.ImportFrom) and node.module == "cavitymagnons.cli"]
+        assert len(calls) == 1 and len(cli) == 1 and calls[0] < cli[0], path.name
+
+
+def test_script_outputs_do_not_depend_on_blas_threads(tmp_path):
+    outputs = []
+    for threads in (None, "2"):
+        workdir = tmp_path / (threads or "unset")
+        workdir.mkdir()
+        for path in SCRIPTS:
+            proc = subprocess.run([sys.executable, str(path), "--outdir", "out"], cwd=workdir, capture_output=True,
+                                  text=True, env=child_env(threads), timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({f.name: f.read_bytes() for f in sorted((workdir / "out").iterdir())})
+    assert len(outputs[0]) == 28
+    assert outputs[0] == outputs[1]

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 from cavitymagnons.closed_forms import (
     analytic_magnon_response,
+    resonance_peak_height,
     symmetric_response_closed_form,
     zero_detuning_scattering_closed_form,
 )
@@ -19,7 +20,6 @@ from cavitymagnons.model import DriveParams, SystemParams, build_driven_system, 
 from cavitymagnons.response import (
     ResponsePoint,
     reflection_transmission,
-    resonance_peak_height,
     spincurrent_spectrum,
     steady_state,
 )
