@@ -8,9 +8,8 @@ of the equivalent Lindblad model and the material-level coupling estimate.
 It also holds the exact propagator exp(-i(H - delta)t) of the driven system,
 propagate_exact, the oracle for the RK4 integrator, and resonance_peak_height,
 the symmetric system's total spincurrent at zero detuning from the exact
-steady state.  Its matrix exponential is
-scipy's expm, imported when that oracle first runs: scipy is a test
-dependency, not a runtime one.
+steady state.  Its matrix exponential is a degree-13 Pade scaling and
+squaring in numpy; the tests check it against scipy's expm.
 The runtime modules compute every observable from the exact matrices and never
 import this module; the tests check those computations against these forms.
 """
@@ -26,6 +25,14 @@ from .model import HBAR, AdiabaticModel, DriveParams, SystemParams, build_driven
 from .response import steady_state
 
 _SQRT2 = math.sqrt(2.0)
+# Numerator coefficients of the degree-13 Pade approximant to exp, and the
+# 1-norm up to which it is accurate to double precision (Higham 2005, table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
 def polariton_basis() -> np.ndarray:
@@ -263,10 +270,29 @@ def resonance_peak_height(params: SystemParams, amplitude: float = 1.0) -> float
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
-    """exp(A) by scaling and squaring (scipy.linalg.expm; Higham 2005)."""
-    import scipy.linalg  # only the propagate_exact oracle needs scipy
+    """exp(A) by scaling and squaring with the degree-13 Pade approximant (Higham 2005).
 
-    return scipy.linalg.expm(np.asarray(a, dtype=complex))
+    A is scaled by 2^-s until its 1-norm is at most theta_13, where the
+    approximant is accurate to double precision, and the result is squared s
+    times.  It stays on numpy: scipy's expm hands its 3x3 LU solve to scipy's
+    own OpenBLAS thread pool, which leaves a worker thread spinning after
+    every call.
+    """
+    a = np.asarray(a, dtype=complex)
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0 ** squarings
+    b = _PADE13
+    eye = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    result = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def propagate_exact(
