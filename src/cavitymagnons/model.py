@@ -146,14 +146,9 @@ def build_full_hamiltonian(params: SystemParams, s=None) -> np.ndarray:
     return h
 
 
-def drive_frame_matrices(params: SystemParams, deltas) -> np.ndarray:
-    """Drive-frame matrix H - delta*I: 3x3 for a scalar delta, (*deltas.shape, 3, 3) for an array."""
-    return build_full_hamiltonian(params) - np.multiply.outer(deltas, _EYE3)
-
-
 def build_driven_system(params: SystemParams, drive: DriveParams) -> EffectiveHamiltonian:
     """Shift into the drive frame: matrix = H - delta*I, force = sqrt(kappa)*(E, 0, 0)."""
-    matrix = drive_frame_matrices(params, drive.delta)
+    matrix = build_full_hamiltonian(params) - drive.delta * _EYE3
     force = np.array([math.sqrt(params.kappa) * drive.amplitude, 0.0, 0.0], dtype=complex)
     return EffectiveHamiltonian(matrix=matrix, force=force)
 

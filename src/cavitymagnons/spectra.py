@@ -22,13 +22,10 @@ equation to a residual |det(lambda I - H)| <= 1e-9 ||H||^3, which the tests
 check alongside LAPACK, companion-matrix and closed-form oracles.
 
 Branch tracking matches consecutive sweep points by least summed
-displacement.  The cost of an assignment depends on the previous one only
-through the summation order, so each step scores its k! matchings with array
-operations in fixed-size blocks, and only steps whose best and runner-up lie
-within the ambiguity band plus that rounding gap score all k! x k!
-(previous, next) pairs.  A walk over the steps that move off the identity or
-were re-scored then gives the same assignments and flags, bit for bit, as a
-per-step loop over the k! x k! pairs.
+displacement.  A step's cost is that of a matching of raw slots, summed in
+slot order, so its best matching and its flag depend only on its two rows:
+each step scores its k! matchings with array operations in fixed-size
+blocks, and a walk over the steps that move off the identity composes them.
 
 An exceptional point is a double eigenvalue, so the search takes the lowest
 real root in its bracket of the discriminant of the characteristic polynomial
@@ -58,15 +55,9 @@ from .model import SystemParams, _dressed_rates, build_full_hamiltonian
 # A pair of eigenvalues closer than this (in kappa units) counts as coalesced,
 # and a discriminant root this close to the real axis (in kappa units) counts as real.
 EP_GAP_TOLERANCE = 1e-6
-# Sweep steps that track_branches scores per pass; bounds its (block, k!)
-# matching scores and (block, k!, k!) re-scoring tensors.
+# Sweep steps that track_branches scores per pass; bounds its (k, k, block)
+# distances and (k!, block) matching scores.
 TRACK_BLOCK_STEPS = 512
-# Rounding bounds that track_branches' skip band adds to the flag band: the
-# relative gap between two summation orders of a matching's k distances, at
-# most (k - 1) * eps, per branch and with room to spare; and a few subnormal
-# units for the absolute rounding of tiny costs and of ambiguity_tol * scale.
-_SUM_ORDER_SLACK = 8.0 * np.finfo(float).eps
-_TINY_SLACK = 4.0 * np.finfo(float).smallest_subnormal
 # Matrices that the closed-form root kernels take per pass; bounds their
 # (k, block) temporaries to about 1 MB, which also keeps them in cache.
 ROOT_BLOCK_ROWS = 1024
@@ -344,36 +335,27 @@ def _matching_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
 def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.ndarray, list[int]]:
     """Assign raw eigenvalues (n, k) to persistent branches by nearest matching.
 
-    Between consecutive sweep points the permutation minimizing the summed
-    complex-plane displacement is chosen (ties prefer the identity).  Steps
-    where the best and runner-up assignments are indistinguishable (within
-    ambiguity_tol relative) are reported: there the branches are coalesced and
-    either assignment is valid.
-
-    Taking assignment p after q costs sum_j dist[p[j], q[j]] = sum_b
-    dist[sigma(b), b] with sigma = p o q^-1, so up to the summation order the
-    best matching sigma of a step does not depend on q.  Each step scores its
-    k! matchings with array operations, TRACK_BLOCK_STEPS steps at a time.
-    Where the runner-up matching is clear of the best by more than the flag
-    band plus the rounding of any summation order, the step takes sigma o q
-    for every q and is not flagged.  Only the other steps score all k! x k!
-    (q, p) pairs in the reference's summation order, which decides the
-    rounding ties and the flags.  What is left per step is a walk over the
-    "events" (steps that re-score or move off the identity) through byte
-    tables; the rows between events keep the previous assignment.  A single
-    branch needs no matching and comes back unchanged.
+    Each step i scores the k! matchings sigma of raw slots, slot b at row
+    i - 1 going to slot sigma[b] at row i, by their summed complex-plane
+    displacement sum_b |raw[i, sigma[b]] - raw[i - 1, b]|, summed in slot
+    order b = 0 ... k - 1, and takes the least (ties prefer the identity).
+    Steps whose runner-up costs at most ambiguity_tol * max(best, max
+    |raw[i]|) more are reported: there the branches are coalesced and either
+    matching is valid.  So a step's matching and flag depend only on rows
+    i - 1 and i, and the branches follow the composed matchings.  The steps
+    are scored with array operations, TRACK_BLOCK_STEPS at a time; a walk
+    over the steps that move off the identity composes their matchings, and
+    the rows in between keep the previous assignment.  A single branch needs
+    no matching and comes back unchanged.
     """
     raw = np.asarray(raw, dtype=complex)
     n, k = raw.shape
     if k == 1:
         return raw.copy(), []
     perms, compose = _matching_tables(k)
-    n_perms = len(perms)
-    slack = _SUM_ORDER_SLACK * k
     slots = raw.T.copy()  # (k, n): each raw slot contiguous along the sweep
     modulus = np.maximum(np.abs(slots).max(axis=0), 1e-300)  # largest |raw| per point
-    # Per event step: rows[q] is the assignment taken after q, flags[q] whether it is ambiguous.
-    event_steps, event_rows, event_flags = [], [], []
+    steps, matchings, ambiguous_steps = [], [], []
     for start in range(1, n, TRACK_BLOCK_STEPS):
         stop = min(start + TRACK_BLOCK_STEPS, n)
         step = slots[:, None, start:stop] - slots[None, :, start - 1:stop - 1]
@@ -384,46 +366,27 @@ def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.nda
         match = dist[perms[:, 0], 0]
         for b in range(1, k):
             match = match + dist[perms[:, b], b]
-        best = match.min(axis=0)
-        flag_band = ambiguity_tol * (1.0 + slack) * np.maximum(best, modulus[start:stop])
-        # A step is clear when only its best matching lies within the band:
-        # runner_up - best > slack * (best + runner_up) + flag_band.
-        threshold = (best * (1.0 + slack) + flag_band + _TINY_SLACK) / (1.0 - slack)
-        rescore = (match <= threshold).sum(axis=0) != 1  # also where a cost is not finite
-        event = rescore | (match[0] != best)
-        rows = compose[match[:, event].argmin(axis=0)]
-        flags = np.zeros_like(rows)
-        if rescore.any():
-            # costs[i, q, p] = sum over j of dist[p[j], q[j], i], summed in j order.
-            tied = dist[:, :, rescore].transpose(2, 0, 1)
-            costs = tied[:, perms[None, :, 0], perms[:, None, 0]]
-            for j in range(1, k):
-                costs = costs + tied[:, perms[None, :, j], perms[:, None, j]]
-            low = np.partition(costs, 1, axis=2)
-            top = np.abs(raw[start:stop][rescore]).max(axis=1)
-            scale = np.maximum(np.maximum(low[..., 0], top[:, None]), 1e-300)
-            again = rescore[event]
-            rows[again] = np.argmin(costs, axis=2)
-            flags[again] = low[..., 1] - low[..., 0] <= ambiguity_tol * scale
-        event_steps.append(np.flatnonzero(event) + start)
-        event_rows.append(rows.tobytes())
-        event_flags.append(flags.tobytes())
-    steps = np.concatenate(event_steps).tolist() if event_steps else []
-    row_bytes, flag_bytes = b"".join(event_rows), b"".join(event_flags)
-    # Walk the events: the assignment (0 is the identity) and flag at each one
-    # follow from the previous event's assignment.
-    taken, values, ambiguous_steps = 0, [], []
-    for e, i in enumerate(steps):
-        offset = e * n_perms + taken
-        if flag_bytes[offset]:
-            ambiguous_steps.append(i)
-        taken = row_bytes[offset]
+        least = match.min(axis=0)
+        moved = np.flatnonzero(match[0] != least)  # ties prefer the identity, matching 0
+        best = np.zeros(len(least), dtype=np.intp)
+        best[moved] = match[:, moved].argmin(axis=0)
+        match[best, np.arange(len(least))] = np.inf
+        # Where the costs overflow, runner_up - least is NaN and the step is not flagged.
+        tied = match.min(axis=0) - least <= ambiguity_tol * np.maximum(least, modulus[start:stop])
+        ambiguous_steps += (np.flatnonzero(tied) + start).tolist()
+        steps += (moved + start).tolist()
+        matchings += best[moved].tolist()
+    # Walk the moves: each composes its matching onto the assignment before it
+    # (0 is the identity).
+    table, n_perms, taken, values = compose.tobytes(), len(perms), 0, []
+    for sigma in matchings:
+        taken = table[sigma * n_perms + taken]
         values.append(taken)
-    # Each row keeps the assignment of the last event at or before it.
-    taken_at, last_event = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
-    taken_at[steps], last_event[steps] = values, steps
-    np.maximum.accumulate(last_event, out=last_event)
-    tracked = np.take_along_axis(raw, perms.take(taken_at.take(last_event), axis=0), axis=1)
+    # Each row keeps the assignment of the last move at or before it.
+    taken_at, last_move = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    taken_at[steps], last_move[steps] = values, steps
+    np.maximum.accumulate(last_move, out=last_move)
+    tracked = np.take_along_axis(raw, perms.take(taken_at.take(last_move), axis=0), axis=1)
     return tracked, ambiguous_steps
 
 

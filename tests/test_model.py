@@ -18,7 +18,6 @@ from cavitymagnons.model import (
     build_driven_system,
     build_full_hamiltonian,
     drive_amplitude_from_power,
-    drive_frame_matrices,
 )
 from cavitymagnons.closed_forms import (
     adiabatic_eigenvalues,
@@ -125,13 +124,6 @@ class TestSweepStacks:
             point = replace(params, s=s)
             assert np.array_equal(full[i], build_full_hamiltonian(point))
             assert np.array_equal(reduced[i], build_adiabatic_model(point).matrix)
-
-    @given(system_params_strategy(), st.lists(splittings, min_size=1, max_size=20))
-    def test_drive_frame_stack_equals_driven_systems(self, params, deltas):
-        stack = drive_frame_matrices(params, np.array(deltas))
-        assert stack.shape == (len(deltas), 3, 3)
-        for i, delta in enumerate(deltas):
-            assert np.array_equal(stack[i], build_driven_system(params, DriveParams(delta=delta)).matrix)
 
 
 class TestDrivenSystem:

@@ -16,7 +16,7 @@ from cavitymagnons.closed_forms import (
     symmetric_response_closed_form,
     zero_detuning_scattering_closed_form,
 )
-from cavitymagnons.model import DriveParams, SystemParams, build_driven_system, drive_frame_matrices
+from cavitymagnons.model import DriveParams, SystemParams, build_driven_system, build_full_hamiltonian
 from cavitymagnons.response import (
     ResponsePoint,
     reflection_transmission,
@@ -127,7 +127,8 @@ def backward_error(p: SystemParams, deltas, states, amplitude: float = 1.0) -> f
 
     Max-norms, because Frobenius norms square entries of 1e200 into overflow.
     """
-    matrices = drive_frame_matrices(p, np.atleast_1d(np.asarray(deltas, dtype=float)))
+    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+    matrices = build_full_hamiltonian(p) - deltas[:, None, None] * np.eye(3)
     states = np.atleast_2d(states)
     force = np.array([math.sqrt(p.kappa) * amplitude, 0.0, 0.0])
     residual = np.abs(np.einsum("nij,nj->ni", matrices, states) + 1j * force).max(axis=1)

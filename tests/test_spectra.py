@@ -46,23 +46,37 @@ params_strategy = system_params_strategy()
 
 
 def track_branches_reference(raw, ambiguity_tol=1e-9):
-    """Per-step nearest-matching tracker: the loop that track_branches vectorizes."""
+    """Per-step nearest-matching tracker: the loop that track_branches vectorizes.
+
+    Step i costs each matching sigma of raw slots (slot b at row i - 1 to slot
+    sigma[b] at row i) its displacements summed in slot order, and composes
+    the best onto the previous assignment.
+    """
     raw = np.asarray(raw, dtype=complex)
     n, k = raw.shape
     tracked = raw.copy()
     ambiguous_steps = []
     perms = list(itertools.permutations(range(k)))
+    taken = list(range(k))
     for i in range(1, n):
-        prev = tracked[i - 1]
-        costs = [sum(abs(raw[i, p[j]] - prev[j]) for j in range(k)) for p in perms]
+        costs = [sum(abs(raw[i, sigma[b]] - raw[i - 1, b]) for b in range(k)) for sigma in perms]
         order = int(np.argmin(costs))
         best = costs[order]
         runner_up = min(c for m, c in enumerate(costs) if m != order)
         scale = max(best, np.abs(raw[i]).max(), 1e-300)
         if runner_up - best <= ambiguity_tol * scale:
             ambiguous_steps.append(i)
-        tracked[i] = raw[i, list(perms[order])]
+        taken = [perms[order][q] for q in taken]
+        tracked[i] = raw[i, taken]
     return tracked, ambiguous_steps
+
+
+def every_step_tied(n):
+    """Rows alternating an exact coalescence with two distinct values in either order."""
+    raw = np.tile(np.array([1 + 0j, -1 + 0j, 0.5j]), (n, 1))
+    raw[::2] = [0.2 + 0j, 0.2 + 0j, 0.5j]
+    raw[1::4] = [-1 + 0j, 1 + 0j, 0.5j]
+    return raw
 
 
 def pair_gap_reference(params, s, adiabatic):
@@ -690,8 +704,7 @@ class TestBranchTracking:
     @given(params_strategy, st.sampled_from(BLOCK_EDGE_SIZES), st.booleans())
     @settings(max_examples=20, deadline=None)
     def test_zero_tolerance_matches_per_step_reference(self, params, n, adiabatic):
-        # ambiguity_tol = 0 leaves only the rounding gap between summation
-        # orders to decide which steps take the exact k! x k! scoring.
+        # ambiguity_tol = 0 flags only steps whose best and runner-up tie exactly.
         s_values = np.linspace(-3.0, 3.0, n)
         if adiabatic:
             raw = _pair_roots(params, s_values)
@@ -705,33 +718,48 @@ class TestBranchTracking:
     @pytest.mark.parametrize("ambiguity_tol", [1e-9, 0.0])
     def test_every_step_tied_across_block_edges(self, ambiguity_tol):
         # Rows alternate between two distinct values and an exact coalescence,
-        # so every step is tied and takes the exact scoring, in every block.
+        # so every step is tied, in every block.
         n = 2 * TRACK_BLOCK_STEPS + 3
-        raw = np.tile(np.array([1 + 0j, -1 + 0j, 0.5j]), (n, 1))
-        raw[::2] = [0.2 + 0j, 0.2 + 0j, 0.5j]
-        raw[1::4] = [-1 + 0j, 1 + 0j, 0.5j]
+        raw = every_step_tied(n)
         tracked, ambiguous = track_branches(raw, ambiguity_tol)
         expected, expected_ambiguous = track_branches_reference(raw, ambiguity_tol)
         assert np.array_equal(tracked, expected)
         assert ambiguous == expected_ambiguous == list(range(1, n))
 
-    def test_rounding_tie_after_a_cycle_matches_per_step_reference(self):
-        # Step 1 takes a 3-cycle; at step 2 two matchings tie in the reference's
-        # summation order (which follows the previous assignment) but not in
-        # the identity order, so only the rounding band sends it to the exact
-        # k! x k! scoring.
-        raw = np.array([
-            [-0.05837138907215449 - 0.5248264370136562j, 1.8533257078420022 - 0.9262439932504336j,
-             2.159980469779012 + 2.6925531473868567j],
-            [1.8523459632088095 - 0.9257607470062884j, 2.15940706776112 + 2.6935821829362947j,
-             -0.058334807562805756 - 0.524435459791986j],
-            [-0.8723830716951919 + 1.876918992454176j, -0.872383071695192 + 1.8769189924541763j,
-             0.24991757985122218 - 1.3369728999172332j],
-        ])
-        tracked, ambiguous = track_branches(raw, 0.0)
-        expected, expected_ambiguous = track_branches_reference(raw, 0.0)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_overflowing_costs_match_per_step_reference(self, k):
+        # Displacements between values near 1e308 overflow to inf, so whole
+        # rows of costs tie at inf; inf - inf is NaN and is not flagged.
+        rng = np.random.default_rng(k)
+        shape = (2 * TRACK_BLOCK_STEPS + 1, k)
+        raw = 1e308 * (rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape))
+        raw[::7, 1] = raw[::7, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            tracked, ambiguous = track_branches(raw)
+            expected, expected_ambiguous = track_branches_reference(raw)
         assert np.array_equal(tracked, expected)
-        assert ambiguous == expected_ambiguous == [2]
+        assert ambiguous == expected_ambiguous
+
+    @pytest.mark.parametrize("walk", ["random", "smooth", "tied"])
+    def test_a_window_tracks_as_the_whole_sweep(self, walk):
+        # A step's matching and flag depend only on its two rows, so tracking
+        # raw[a:b] gives the whole sweep's rows a ... b - 1 up to one column
+        # permutation, and its flagged steps shifted by a.
+        n = 2 * TRACK_BLOCK_STEPS + 3
+        rng = np.random.default_rng(7)
+        clouds = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        if walk == "random":
+            raw = clouds
+        elif walk == "smooth":
+            raw = np.cumsum(0.01 * clouds, axis=0)
+            raw[::10, 1] = raw[::10, 0]
+        else:
+            raw = every_step_tied(n)
+        whole, whole_ambiguous = track_branches(raw)
+        for a, b in [(0, n), (1, n), (5, 40), (TRACK_BLOCK_STEPS - 2, n), (300, 2 * TRACK_BLOCK_STEPS + 1)]:
+            window, ambiguous = track_branches(raw[a:b])
+            assert any(np.array_equal(window[:, list(p)], whole[a:b]) for p in itertools.permutations(range(3)))
+            assert [i + a for i in ambiguous] == [i for i in whole_ambiguous if a < i < b]
 
     def test_near_coalescence_inside_the_flag_band(self):
         # Two branches 2e-11 apart: the best and runner-up matchings differ by
