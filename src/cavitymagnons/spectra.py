@@ -354,28 +354,31 @@ def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.nda
         return raw.copy(), []
     perms, compose = _matching_tables(k)
     slots = raw.T.copy()  # (k, n): each raw slot contiguous along the sweep
-    modulus = np.maximum(np.abs(slots).max(axis=0), 1e-300)  # largest |raw| per point
     steps, matchings, ambiguous_steps = [], [], []
-    for start in range(1, n, TRACK_BLOCK_STEPS):
-        stop = min(start + TRACK_BLOCK_STEPS, n)
-        step = slots[:, None, start:stop] - slots[None, :, start - 1:stop - 1]
-        # dist[a, b, i] = |raw[i, a] - raw[i - 1, b]|; hypot, like abs() of a
-        # complex scalar, keeps the costs bitwise equal to per-step scoring.
-        dist = np.hypot(step.real, step.imag)
-        # match[sigma, i] = sum over b of dist[sigma[b], b, i], summed in b order.
-        match = dist[perms[:, 0], 0]
-        for b in range(1, k):
-            match = match + dist[perms[:, b], b]
-        least = match.min(axis=0)
-        moved = np.flatnonzero(match[0] != least)  # ties prefer the identity, matching 0
-        best = np.zeros(len(least), dtype=np.intp)
-        best[moved] = match[:, moved].argmin(axis=0)
-        match[best, np.arange(len(least))] = np.inf
-        # Where the costs overflow, runner_up - least is NaN and the step is not flagged.
-        tied = match.min(axis=0) - least <= ambiguity_tol * np.maximum(least, modulus[start:stop])
-        ambiguous_steps += (np.flatnonzero(tied) + start).tolist()
-        steps += (moved + start).tolist()
-        matchings += best[moved].tolist()
+    # Moduli and displacements of values near the float limit overflow to inf;
+    # such costs still order the matchings, so the scoring does not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        modulus = np.maximum(np.abs(slots).max(axis=0), 1e-300)  # largest |raw| per point
+        for start in range(1, n, TRACK_BLOCK_STEPS):
+            stop = min(start + TRACK_BLOCK_STEPS, n)
+            step = slots[:, None, start:stop] - slots[None, :, start - 1:stop - 1]
+            # dist[a, b, i] = |raw[i, a] - raw[i - 1, b]|; hypot, like abs() of a
+            # complex scalar, keeps the costs bitwise equal to per-step scoring.
+            dist = np.hypot(step.real, step.imag)
+            # match[sigma, i] = sum over b of dist[sigma[b], b, i], summed in b order.
+            match = dist[perms[:, 0], 0]
+            for b in range(1, k):
+                match = match + dist[perms[:, b], b]
+            least = match.min(axis=0)
+            moved = np.flatnonzero(match[0] != least)  # ties prefer the identity, matching 0
+            best = np.zeros(len(least), dtype=np.intp)
+            best[moved] = match[:, moved].argmin(axis=0)
+            match[best, np.arange(len(least))] = np.inf
+            # Where the costs overflow, runner_up - least is NaN and the step is not flagged.
+            tied = match.min(axis=0) - least <= ambiguity_tol * np.maximum(least, modulus[start:stop])
+            ambiguous_steps += (np.flatnonzero(tied) + start).tolist()
+            steps += (moved + start).tolist()
+            matchings += best[moved].tolist()
     # Walk the moves: each composes its matching onto the assignment before it
     # (0 is the identity).
     table, n_perms, taken, values = compose.tobytes(), len(perms), 0, []

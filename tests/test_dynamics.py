@@ -259,6 +259,88 @@ class TestSharedLayout:
         assert report == report2
 
 
+def full_run(params, drive, state0):
+    """The run (A, F, y0) that integrate_full steps."""
+    system = build_driven_system(params, drive)
+    return -1j * system.matrix, system.force, np.asarray(state0, dtype=complex)
+
+
+def reduced_run(params, state0):
+    """The run (A, F, y0) that integrate_adiabatic steps."""
+    return -1j * build_adiabatic_model(params).matrix, np.zeros(2, dtype=complex), np.asarray(state0, dtype=complex)
+
+
+X0 = np.array([0.2 - 0.7j, 0.5 + 0.1j, 0.3 - 0.4j])
+Y0 = np.array([-0.6 + 0.1j, 0.25j, 0.9 - 0.3j])
+M0 = np.array([0.8 + 0.3j, -0.4 + 0.6j])
+
+
+class TestBatch:
+    """Runs on one grid step as one batch, and each member is byte for byte its run alone."""
+
+    @pytest.mark.parametrize("n_steps", [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5])
+    def test_driven_and_free_members_equal_their_runs_alone(self, n_steps):
+        # The driven member makes the whole batch propagate the augmented map.
+        drive = DriveParams(delta=0.05, amplitude=1.3)
+        dt = accurate_dt(build_driven_system(RINGING, drive).matrix)
+        t_end = n_steps * dt
+        states, h = dynamics._integrate_batch([full_run(RINGING, drive, X0), full_run(RINGING, FREE, Y0)], t_end, dt)
+        driven = integrate_full(RINGING, drive, X0, t_end, dt)
+        free = integrate_full(RINGING, FREE, Y0, t_end, dt)
+        assert h == driven.dt
+        assert states[0].tobytes() == driven.states.tobytes()
+        assert states[1].tobytes() == free.states.tobytes()
+
+    @pytest.mark.parametrize("n_steps", [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5])
+    def test_full_and_reduced_members_equal_their_runs_alone(self, n_steps):
+        t_end = n_steps * 0.01
+        full = integrate_full(WEAK, FREE, X0, t_end, 0.01)
+        reduced = integrate_adiabatic(build_adiabatic_model(WEAK), M0, t_end, 0.01)
+        states, _ = dynamics._integrate_batch([full_run(WEAK, FREE, X0), reduced_run(WEAK, M0)], t_end, 0.01)
+        assert states[0].tobytes() == full.states.tobytes()
+        assert states[1, :, 1:].tobytes() == reduced.states.tobytes()
+        assert not states[1, :, 0].any()  # the reduced member's cavity slot stays exactly 0
+        swapped, _ = dynamics._integrate_batch([reduced_run(WEAK, M0), full_run(WEAK, FREE, X0)], t_end, 0.01)
+        assert swapped[::-1].tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("n_steps,stride", [(20000, 7), (999, 64)])
+    def test_strided_members_equal_their_runs_alone(self, n_steps, stride):
+        assert n_steps % stride  # every member ends with a tail step
+        drive = DriveParams(delta=-0.02, amplitude=0.7)
+        dt = accurate_dt(build_driven_system(WEAK, drive).matrix)
+        t_end = n_steps * dt
+        runs = [full_run(WEAK, drive, X0), full_run(WEAK, FREE, Y0), reduced_run(WEAK, M0)]
+        states, _ = dynamics._integrate_batch(runs, t_end, dt, stride)
+        assert states.shape == (3, n_steps // stride + 2, 3)
+        assert states[0].tobytes() == integrate_full(WEAK, drive, X0, t_end, dt, stride).states.tobytes()
+        assert states[1].tobytes() == integrate_full(WEAK, FREE, Y0, t_end, dt, stride).states.tobytes()
+        alone = dynamics._integrate_linear(*reduced_run(WEAK, M0), t_end, dt, stride)
+        assert states[2, :, 1:].tobytes() == alone.states.tobytes()
+
+    @pytest.mark.parametrize("first,second", [
+        ("stable", "unstable"),
+        ("stable", "overflowing"),
+        ("unstable", "overflowing"),
+        ("overflowing", "unstable"),
+    ])
+    def test_rejects_with_the_message_of_its_first_failing_member(self, first, second):
+        params = {
+            "stable": WEAK,
+            # Lossless magnons at +-60: h |lambda| = 3.4 lies past the RK4 bound 2 sqrt(2).
+            "unstable": SystemParams(kappa=1, gamma1=0, gamma2=0, g1=0.2, g2=0.2, s=60),
+            "overflowing": SystemParams(kappa=1.67, gamma1=1e150, gamma2=0.98, g1=1.0, g2=1.57, s=27),
+        }
+        runs = [full_run(params[first], FREE, X0), full_run(params[second], FREE, Y0)]
+        culprit = params[second if first == "stable" else first]
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError) as alone:
+                integrate_full(culprit, FREE, X0, t_end=27.5, dt=0.0574)
+            with pytest.raises(ValueError) as batch:
+                dynamics._integrate_batch(runs, t_end=27.5, dt=0.0574)
+        assert "stability" in str(alone.value) or "overflows" in str(alone.value)
+        assert str(batch.value) == str(alone.value)
+
+
 class TestIntegrateFull:
     def test_free_decay_to_vacuum(self):
         traj = integrate_full(STRONG, DriveParams(delta=0.0, amplitude=0.0),
@@ -408,6 +490,19 @@ class TestSlavedCavity:
         )
 
 
+def report_reference(params, m0, t_end, dt):
+    """The validity report from integrate_full and integrate_adiabatic run alone, squares summed by row."""
+    m0 = np.array(m0, dtype=complex)
+    m0 = np.ldexp(m0.view(float), -math.frexp(np.abs(m0.view(float)).max())[1]).view(complex)
+    full0 = np.array([slaved_cavity_amplitude(params, m0[0], m0[1]), m0[0], m0[1]])
+    full = integrate_full(params, FREE, full0, t_end, dt)
+    reduced = integrate_adiabatic(build_adiabatic_model(params), m0, t_end, dt)
+    parts = (full.states[:, 1:] - reduced.states).view(float)
+    parts *= parts
+    squares = parts[:, 0] + parts[:, 1] + parts[:, 2] + parts[:, 3]
+    return math.sqrt(squares.max()) / np.linalg.norm(m0)
+
+
 class TestAdiabaticValidityReport:
     def test_weak_coupling_regime_is_accurate(self):
         deviation = adiabatic_validity_report(WEAK, [1.0, 0.0], t_end=100.0, dt=0.01)
@@ -429,6 +524,25 @@ class TestAdiabaticValidityReport:
         expected = np.linalg.norm(full.states[:, 1:] - reduced.states, axis=1).max() / np.linalg.norm(m0)
         # The same squares summed in another order: a few ulps apart at most.
         assert adiabatic_validity_report(params, m0, t_end, dt) == pytest.approx(expected, rel=4 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("params,m0,n_steps,dt", [
+        (WEAK, [0.75 + 0.25j, -0.5j], 1, 0.01),
+        (WEAK, [1.0, 0.5j], 10000, 0.01),
+        (STRONG, [0.3 - 0.2j, 1.0], 10000, 0.002),
+        (WEAK, [1e-200 - 3e-201j, 2e-201j], BLOCK_STEPS - 1, 0.1),
+        (WEAK, [-0.6 + 2.0j, 0.1], 2 * PASS_STEPS + 5, 0.01),
+    ])
+    def test_equals_the_deviation_of_the_runs_alone(self, params, m0, n_steps, dt):
+        assert adiabatic_validity_report(params, m0, n_steps * dt, dt) == report_reference(params, m0, n_steps * dt, dt)
+
+    @given(system_params_strategy(), st.lists(unit_floats, min_size=4, max_size=4), step_counts)
+    @settings(max_examples=50, deadline=None)
+    def test_equals_the_deviation_of_the_runs_alone_on_random_systems(self, p, parts, n_steps):
+        m0 = np.array(parts[:2]) + 1j * np.array(parts[2:])
+        if not m0.any():
+            m0[0] = 1.0
+        dt = min(accurate_dt(build_driven_system(p, FREE).matrix), accurate_dt(build_adiabatic_model(p).matrix))
+        assert adiabatic_validity_report(p, m0, n_steps * dt, dt) == report_reference(p, m0, n_steps * dt, dt)
 
     def test_decoupled_systems_agree_exactly(self):
         p = SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0, g2=0, s=0.3)

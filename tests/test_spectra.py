@@ -740,6 +740,18 @@ class TestBranchTracking:
         assert np.array_equal(tracked, expected)
         assert ambiguous == expected_ambiguous
 
+    def test_sweep_near_the_float_limit_warns_nothing(self):
+        # The displacements between the roots overflow to inf; the costs still
+        # rank the matchings, and the scoring raises no warning.
+        p = SystemParams()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = sweep_eigenvalues(p, -1.7e308, -1.6e308, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected, expected_ambiguous = track_branches_reference(spectra._cubic_roots(p, sweep.sweep_values))
+        assert np.array_equal(sweep.branches, expected)
+        assert sweep.ambiguous_spans == () and expected_ambiguous == []
+
     @pytest.mark.parametrize("walk", ["random", "smooth", "tied"])
     def test_a_window_tracks_as_the_whole_sweep(self, walk):
         # A step's matching and flag depend only on its two rows, so tracking
