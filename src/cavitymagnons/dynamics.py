@@ -10,21 +10,22 @@ two-mode reduction dY/dt = -i H_tilde Y shares the same stepper.
 On a linear ODE one RK4 step is exactly the affine map y <- P y + q, with
 P = sum_{j<=4} (hA)^j / j!.  The stepper builds that map once, as the
 augmented matrix M = [[P, q], [0, 1]] acting on [y; 1], or as P alone for a
-run without force (q is then exactly 0), and turns it into its real form V,
-which maps the interleaved real and imaginary parts of the input to those of
-the next step.  It propagates with two levels of powers of V, built by
-doubling with real BLAS products and kept as the state rows of the powers
-side by side: level 1 holds V^1 .. V^64, level 2 V^64, V^128 .. V^4032.
-One pass applies level 2 to the current state to get up to 64 anchors 64
-steps apart, then level 1 to every anchor, so it writes up to 4096
-trajectory rows with two real matrix products.  With stride > 1 the same
-passes run on V^stride (built by repeated squaring) and return every
-stride-th row plus the final step, so a run costs O(log stride + rows)
-products and O(rows) memory rather than O(t_end/dt).  The map also gives the
-exact stability rule: the step is rejected when the spectral radius of P
-exceeds 1 by more than rounding (the eigenvalues of P are R(h lambda) for
-the RK4 stability polynomial R).  Runs longer than MAX_STEPS steps are
-rejected before any storage is allocated.
+run without force (q is then exactly 0), and turns it into its real form U:
+a state row, the interleaved real and imaginary parts of y, times U is the
+row of the next step.  With W = U^stride (built by repeated squaring) it
+fills the trajectory by doubling.  Row 0 is the initial state; with W^span
+in hand, the next span rows are the span rows before them times W^span, one
+real BLAS product per member, and W^span is then squared.  Once span reaches
+MAX_SPAN, each block of up to MAX_SPAN rows is one product from the block
+before it, whose rows are still in cache.  A run keeps every stride-th step
+plus the final step, so it costs O(log stride + log MAX_SPAN) squarings of a
+6 x 6 or 8 x 8 matrix, one product per MAX_SPAN rows past the doubling, and
+O(rows) memory rather than O(t_end/dt).  Row j is at most log2 MAX_SPAN +
+j / MAX_SPAN products from row 0.  The map also gives the exact stability
+rule: the step is rejected when the spectral radius of P exceeds 1 by more
+than rounding (the eigenvalues of P are R(h lambda) for the RK4 stability
+polynomial R).  Runs longer than MAX_STEPS steps are rejected before any
+storage is allocated.
 
 The stepper runs a batch of runs that share the grid (steps, h and stride).
 Every array it builds has a leading batch axis, and every product is a
@@ -40,9 +41,11 @@ The reduced model runs in the full model's 3-mode layout (a, m1, m2), with a
 zero cavity row and column, and returns the magnon columns.  A BLAS product
 sums in an order set by its shapes, so the full and reduced runs share every
 shape: that, and the exact zeros of a decoupled model, keep decoupled magnons
-bit for bit the same in both models.  Every product that writes states sums
-over the input axis in order, so the trailing [1, 0] of an augmented input,
-against a q of exactly 0, leaves the rows of a free run unchanged.
+bit for bit the same in both models.  Every product writes only the 2 MODES
+state columns and sums over the input axis in order.  A driven batch keeps
+the drive's constant [1, 0] as an input column of every row, so the trailing
+[1, 0] of an augmented input, against a q of exactly 0, leaves the rows of a
+free run unchanged.
 """
 
 from __future__ import annotations
@@ -62,13 +65,15 @@ from .model import (
 
 # Modes of the full model (a, m1, m2): every run is integrated in this layout.
 MODES = 3
-# Rows written per anchor by one stacked product of the level-1 powers; one pass
-# applies BLOCK_STEPS anchors, so it writes up to BLOCK_STEPS**2 rows.
-BLOCK_STEPS = 64
-# Longest run accepted, in steps.  A run costs O(log stride + rows) products of
-# the two levels of powers and O(rows) memory: at stride 1 (every step kept)
-# 10**7 steps of three complex amplitudes store 480 MB, while a strided run
-# stores only its rows and the budget then bounds the accumulated rounding.
+# Most rows one product writes: past it, each block of rows is the block before
+# it, read while still in cache, times W^MAX_SPAN (W the step map to the power stride).
+MAX_SPAN = 4096
+# Longest run accepted, in steps.  A run costs O(log stride + log MAX_SPAN)
+# squarings, one product per MAX_SPAN rows and O(rows) memory: at stride 1
+# (every step kept) 10**7 steps store 480 MB of three complex amplitudes for a
+# free run and 640 MB for a driven one, whose rows carry the drive's constant,
+# while a strided run stores only its rows and the budget then bounds the
+# accumulated rounding.
 MAX_STEPS = 10**7
 # How far the computed spectral radius of the step map may exceed 1 (rounding
 # in its eigenvalues); growth by this factor over MAX_STEPS steps stays below 1e-5.
@@ -82,7 +87,9 @@ class Trajectory:
     times          : (n,) strictly increasing times of the returned rows, in units
                      of 1/kappa: every stride-th step, plus the final step
     states         : (n, k) complex amplitudes, k = 3 (full) or 2 (reduced; the
-                     magnon columns of a run in the 3-mode layout)
+                     magnon columns of a run in the 3-mode layout).  A driven
+                     run's states are a view of its (n, 4) rows, whose last
+                     column holds the drive's constant 1
     dt             : actual RK4 step size used (t_end snapped to a whole number of
                      steps), not the spacing of the rows
     final_residual : norm of the right-hand side at the final state; tends to
@@ -122,21 +129,23 @@ def _step_map(a: np.ndarray, force: np.ndarray, h: float) -> np.ndarray:
     their drives.  With z = hA and S = I + z/2 + z^2/6 + z^3/24, one classical
     RK4 step is exactly y <- P y + q with P = I + z S and q = h S F.  A batch
     without force drops the drive column, whose q is exactly 0, and propagates
-    the k x k maps P.
+    the k x k maps P.  A map that overflows has entries that are not finite,
+    which _check_step_map rejects, so overflow here raises no warning.
     """
     k = force.shape[-1]
     eye = np.eye(k)
-    z = h * a
-    z2 = z @ z
-    s = eye + z / 2 + z2 / 6 + z2 @ z / 24
-    p = eye + z @ s
-    if not force.any():
-        return p
-    m = np.zeros(p.shape[:-2] + (k + 1, k + 1), dtype=complex)
-    m[..., :k, :k] = p
-    m[..., :k, k] = h * (s @ force[..., None])[..., 0]
-    m[..., k, k] = 1.0
-    return m
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = h * a
+        z2 = z @ z
+        s = eye + z / 2 + z2 / 6 + z2 @ z / 24
+        p = eye + z @ s
+        if not force.any():
+            return p
+        m = np.zeros(p.shape[:-2] + (k + 1, k + 1), dtype=complex)
+        m[..., :k, :k] = p
+        m[..., :k, k] = h * (s @ force[..., None])[..., 0]
+        m[..., k, k] = 1.0
+        return m
 
 
 def _check_step_map(m: np.ndarray, lead: int, dt: float) -> None:
@@ -161,35 +170,18 @@ def _check_step_map(m: np.ndarray, lead: int, dt: float) -> None:
 
 
 def _real_form(r: np.ndarray) -> np.ndarray:
-    """The real (..., 2 size, 2 size) stack V with V flat(y) = flat(R y), member by member.
+    """The real (..., 2 size, 2 size) stack U with flat(y) U = flat(R y), member by member.
 
-    flat views a complex vector as its interleaved real and imaginary parts;
-    the first 2k rows of V^j give the first k modes of R^j y.
+    flat views a complex vector as its interleaved real and imaginary parts,
+    a row; the first 2k columns of U^j give the first k modes of R^j y.
     """
     batch, size = r.shape[:-2], r.shape[-1]
-    v = np.empty(batch + (size, 2, size, 2))
-    v[..., 0, :, 0] = v[..., 1, :, 1] = r.real
-    v[..., 0, :, 1] = -r.imag
-    v[..., 1, :, 0] = r.imag
-    return v.reshape(batch + (2 * size, 2 * size))
-
-
-def _side_by_side(v: np.ndarray, count: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first k rows of V^1 .. V^count side by side, and V^(2^ceil(log2 count)), per member.
-
-    The (..., 2 size, count k) stack maps an input row to the count states
-    that follow it.  By doubling: with V^d in hand, the next d row blocks are
-    the first d times V^d, one real product per member, and V^d is then squared.
-    """
-    rows = np.empty(v.shape[:-2] + (count * k, v.shape[-1]))
-    rows[..., :k, :] = v[..., :k, :]
-    done = 1
-    while done < count:
-        step = min(done, count - done)
-        np.matmul(rows[..., :step * k, :], v, out=rows[..., done * k:(done + step) * k, :])
-        v = np.matmul(v, v)
-        done += step
-    return np.ascontiguousarray(rows.swapaxes(-1, -2)), v
+    rt = r.swapaxes(-1, -2)
+    u = np.empty(batch + (size, 2, size, 2))
+    u[..., 0, :, 0] = u[..., 1, :, 1] = rt.real
+    u[..., 0, :, 1] = rt.imag
+    u[..., 1, :, 0] = -rt.imag
+    return u.reshape(batch + (2 * size, 2 * size))
 
 
 def _matrix_power(v: np.ndarray, exponent: int) -> np.ndarray:
@@ -204,32 +196,6 @@ def _matrix_power(v: np.ndarray, exponent: int) -> np.ndarray:
         v = np.matmul(v, v)
 
 
-def _propagate(v: np.ndarray, states: np.ndarray, n_rows: int) -> None:
-    """Fill states[:, 1 : n_rows + 1] with y_{j+1} = R y_j from states[:, 0], member by member.
-
-    V is the stack of real forms of R, the k x k maps of a free batch or the
-    augmented maps acting on [y; 1].  Each pass makes BLOCK_STEPS anchors
-    R^(64 c) y from the level-2 powers and expands each into 64 rows with the
-    level-1 powers, BLOCK_STEPS**2 rows in all, written straight into states
-    by one BLAS product per member.  Passes write whole blocks of 64 rows, so
-    states needs room up to the first multiple of 64 at or past n_rows.
-    """
-    batch, _, k = states.shape
-    rows_from_anchor, v64 = _side_by_side(v, BLOCK_STEPS, 2 * k)
-    anchors_from_state, _ = _side_by_side(v64, BLOCK_STEPS - 1, 2 * k)
-    anchors = np.ones((batch, BLOCK_STEPS, v.shape[-1] // 2), dtype=complex)
-    flat = anchors.view(float)
-    n_blocks = -(-n_rows // BLOCK_STEPS)
-    for first in range(0, n_blocks, BLOCK_STEPS):
-        count = min(BLOCK_STEPS, n_blocks - first)
-        start = first * BLOCK_STEPS
-        anchors[:, 0, :k] = states[:, start]
-        later = np.matmul(flat[:, :1], anchors_from_state[..., :2 * (count - 1) * k])
-        anchors[:, 1:count, :k] = later.view(complex).reshape(batch, count - 1, k)
-        block = states[:, start + 1:start + 1 + count * BLOCK_STEPS].view(float)
-        np.matmul(flat[:, :count], rows_from_anchor, out=block.reshape(batch, count, 2 * BLOCK_STEPS * k))
-
-
 def _integrate_batch(
     runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]], t_end: float, dt: float, stride: int = 1
 ) -> tuple[np.ndarray, float]:
@@ -239,6 +205,13 @@ def _integrate_batch(
     stride-th step and the last.  A k-mode run (k <= MODES) is the trailing
     k x k block of the MODES-mode layout, with zero rows and columns for the
     modes it lacks.  Returns the (batch, rows, MODES) states in that layout and h.
+
+    Row 0 is the initial state.  With W the real step map to the power stride
+    and span starting at 1, each real product per member sets the next span
+    rows to the span rows before them times W^span; span then doubles, and
+    W^span is squared, until span reaches MAX_SPAN.  Products write only the
+    state columns: a driven batch keeps the drive's constant [1, 0] as an
+    input column of its rows and returns a view of the state columns.
     """
     n_steps = step_count(t_end, dt)
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
@@ -259,19 +232,26 @@ def _integrate_batch(
     m = _step_map(layout_a, layout_force, h)
     _check_step_map(m, lead, dt)
     n_rows, tail = divmod(n_steps, stride)
-    # Whole blocks of rows plus one for the tail step; rows past the trajectory are scratch.
-    buffer = np.empty((len(runs), -(-n_rows // BLOCK_STEPS) * BLOCK_STEPS + 2, MODES), dtype=complex)
-    buffer[:, 0] = first_rows
-    v = _real_form(m)
-    _propagate(_matrix_power(v, stride), buffer, n_rows)
+    # Rows 0 .. n_rows and one for the tail step.
+    buffer = np.empty((len(runs), n_rows + 1 + bool(tail), m.shape[-1]), dtype=complex)
+    buffer[:, 0, :MODES] = first_rows
+    buffer[:, :, MODES:] = 1.0
+    rows = buffer.view(float)
+    u = _real_form(m)
+    power = _matrix_power(u, stride)
+    span = done = 1
+    while done <= n_rows:
+        step = min(span, n_rows + 1 - done)
+        np.matmul(rows[:, done - span:done - span + step], power[..., :2 * MODES],
+                  out=rows[:, done:done + step, :2 * MODES])
+        done += step
+        if span < MAX_SPAN and done <= n_rows:
+            power = np.matmul(power, power)
+            span *= 2
     if tail:
-        last = buffer[:, n_rows]
-        if m.shape[-1] > MODES:
-            last = np.concatenate((last, np.ones((len(runs), 1))), axis=1)
-        # The input axis on the rows, as in _propagate.
-        state_rows = _matrix_power(v, tail)[..., :2 * MODES, :].swapaxes(-1, -2).copy()
-        np.matmul(last.view(float)[:, None], state_rows, out=buffer[:, n_rows + 1, None].view(float))
-    return buffer[:, :n_rows + 1 + bool(tail)], h
+        np.matmul(rows[:, n_rows:n_rows + 1], _matrix_power(u, tail)[..., :2 * MODES],
+                  out=rows[:, n_rows + 1:, :2 * MODES])
+    return buffer[..., :MODES], h
 
 
 def _integrate_linear(
@@ -306,7 +286,10 @@ def integrate_full(
     on and a constant drive the trajectory converges to the closed-form steady
     state -i (H - delta)^(-1) F, which is also the exact fixed point of the
     RK4 map.  With stride > 1 only steps 0, stride, 2 stride, ... and the
-    final step are returned, and only those are stored.
+    final step are returned, and only those are stored.  Rows are filled by
+    doubling and then in blocks of MAX_SPAN rows, each one real matrix
+    product from the rows before it; with a drive, each row also stores the
+    drive's constant, so states is a view of (n, 4) rows.
     """
     system = build_driven_system(params, drive)
     state0 = np.asarray(state0, dtype=complex)

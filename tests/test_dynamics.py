@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from cavitymagnons import dynamics
 from cavitymagnons.closed_forms import matrix_exponential, propagate_exact
 from cavitymagnons.dynamics import (
-    BLOCK_STEPS,
+    MAX_SPAN,
     adiabatic_validity_report,
     integrate_adiabatic,
     integrate_full,
@@ -58,13 +58,19 @@ def accurate_dt(matrix) -> float:
     return 0.1 / max(1.0, np.linalg.norm(matrix, 2))
 
 
-# One pass of the stepper writes BLOCK_STEPS**2 rows.
+# Step counts around 64 and 64**2 rows, and EDGE_STEPS around the edges of the
+# doubling (rows 2^k .. 2^(k+1) - 1 are one product from rows 0 .. 2^k - 1) and of
+# the MAX_SPAN-row blocks that follow it, each one product from the block before.
+BLOCK_STEPS = 64
 PASS_STEPS = BLOCK_STEPS**2
+EDGE_STEPS = sorted({n for k in range(10, 14) for n in (2**k - 1, 2**k, 2**k + 1)}
+                    | {MAX_SPAN * j + d for j in (1, 2, 3) for d in (-1, 1)})
 # Step counts that end mid-block, so partial blocks are covered, and on the edges of a block and a pass.
 step_counts = st.sampled_from([1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 3 * BLOCK_STEPS + 5,
-                               PASS_STEPS - 1, PASS_STEPS])
+                               PASS_STEPS - 1, PASS_STEPS] + EDGE_STEPS)
 # These end around and past one pass.
-pass_step_counts = pytest.mark.parametrize("n_steps", [PASS_STEPS - 1, PASS_STEPS, PASS_STEPS + 1, 2 * PASS_STEPS + 5])
+pass_step_counts = pytest.mark.parametrize("n_steps", [PASS_STEPS - 1, PASS_STEPS, PASS_STEPS + 1, 2 * PASS_STEPS + 5]
+                                           + EDGE_STEPS)
 unit_floats = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_subnormal=False)
 
 
@@ -158,9 +164,9 @@ class TestBlockStepperMatchesReference:
 
 class TestAnchorRows:
     def test_driven_run_matches_the_exact_propagator_at_every_anchor_and_pass_boundary(self):
-        # Rows at multiples of BLOCK_STEPS come from the level-2 powers, those at
-        # multiples of PASS_STEPS start a pass from the last row of the one before:
-        # rounding in those powers compounds there.  At h |A| <= 1e-3 the RK4
+        # Row 2^k - 1 is the end of a chain of k products of the doubling, and
+        # each MAX_SPAN-row block is one more product from the block before it:
+        # rounding in the powers compounds there.  At h |A| <= 1e-3 the RK4
         # truncation error is below 1e-16 per step, so rounding dominates.  The
         # bound is the error that complex powers of the step map gave on this run,
         # 1.44e-13 of the largest exact state, rounded up; real powers give 7.6e-14.
@@ -171,6 +177,7 @@ class TestAnchorRows:
         traj = integrate_full(RINGING, drive, x0, n_steps * dt, dt)
         rows = np.arange(0, n_steps + 1, BLOCK_STEPS)
         assert np.count_nonzero(rows % PASS_STEPS == 0) == 4
+        rows = np.union1d(rows, 2 ** np.arange(1, 14) - 1)
         exact = np.array([propagate_exact(RINGING, drive, x0, float(traj.times[row])) for row in rows])
         assert np.abs(traj.states[rows] - exact).max() <= 2e-13 * np.abs(exact).max()
 
@@ -218,7 +225,7 @@ DECOUPLED = SystemParams(kappa=1, gamma1=0.01, gamma2=0.03, g1=0, g2=0, s=0.3)
 class TestSharedLayout:
     """The reduced model runs in the full model's 3-mode layout; free runs propagate P alone."""
 
-    @pytest.mark.parametrize("n_steps", [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5])
+    @pytest.mark.parametrize("n_steps", [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5] + EDGE_STEPS)
     def test_reduced_rows_are_the_magnon_rows_of_a_decoupled_full_run(self, n_steps):
         # The cavity starts excited and decays on its own; it reaches no magnon.
         x0 = np.array([0.7 - 0.2j, 1.0 + 0.25j, -0.5 + 0.5j])
@@ -228,7 +235,8 @@ class TestSharedLayout:
         assert reduced.states.tobytes() == full.states[:, 1:].tobytes()
         assert np.array_equal(reduced.times, full.times)
 
-    @pytest.mark.parametrize("n_steps,stride", [(PASS_STEPS + 3, 1), (2 * PASS_STEPS + 5, 1), (20000, 7), (999, 64)])
+    @pytest.mark.parametrize("n_steps,stride", [(PASS_STEPS + 3, 1), (2 * PASS_STEPS + 5, 1), (20000, 7), (999, 64)]
+                             + [(n, 1) for n in EDGE_STEPS])
     def test_free_run_matches_the_augmented_map(self, monkeypatch, n_steps, stride):
         # The drive column of a free run is exactly 0, so dropping it changes no
         # bit; the strided runs end with a tail step.
@@ -278,7 +286,7 @@ M0 = np.array([0.8 + 0.3j, -0.4 + 0.6j])
 class TestBatch:
     """Runs on one grid step as one batch, and each member is byte for byte its run alone."""
 
-    @pytest.mark.parametrize("n_steps", [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5])
+    @pytest.mark.parametrize("n_steps", [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5] + EDGE_STEPS)
     def test_driven_and_free_members_equal_their_runs_alone(self, n_steps):
         # The driven member makes the whole batch propagate the augmented map.
         drive = DriveParams(delta=0.05, amplitude=1.3)
@@ -291,7 +299,7 @@ class TestBatch:
         assert states[0].tobytes() == driven.states.tobytes()
         assert states[1].tobytes() == free.states.tobytes()
 
-    @pytest.mark.parametrize("n_steps", [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5])
+    @pytest.mark.parametrize("n_steps", [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5] + EDGE_STEPS)
     def test_full_and_reduced_members_equal_their_runs_alone(self, n_steps):
         t_end = n_steps * 0.01
         full = integrate_full(WEAK, FREE, X0, t_end, 0.01)
@@ -437,6 +445,26 @@ class TestIntegrateFull:
         p = SystemParams(kappa=1.67, gamma1=1e150, gamma2=0.98, g1=1.0, g2=1.57, s=27)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"dt=0\.0574 overflows the RK4 step map"):
             integrate_full(p, FREE, np.zeros(3), t_end=27.5, dt=0.0574)
+
+
+class TestQuietRejection:
+    @pytest.mark.parametrize("run", [
+        lambda: adiabatic_validity_report(SystemParams(g1=1e200, g2=1e200), [1, 0.5j], 10.0, 0.01),
+        lambda: integrate_full(SystemParams(kappa=1.67, gamma1=1e150, gamma2=0.98, g1=1.0, g2=1.57, s=27),
+                               FREE, np.zeros(3), t_end=27.5, dt=0.0574),
+    ], ids=["report", "integrate_full"])
+    def test_overflowing_step_map_raises_without_warnings(self, run):
+        # Warnings turned into errors must not preempt the ValueError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError) as quiet:
+                run()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as strict:
+                run()
+        assert "overflows the RK4 step map" in str(strict.value)
+        assert str(strict.value) == str(quiet.value)
 
 
 class TestStepCount:
