@@ -30,27 +30,33 @@ storage is allocated.
 The stepper runs a batch of runs that share the grid (steps, h and stride).
 Every array it builds has a leading batch axis, and every product is a
 stacked np.matmul, which makes the same BLAS call for each member as for that
-run alone, so a member's rows are byte for byte those of its run alone.  If
-any member is driven, every member propagates the augmented map.  A batch is
-rejected with the message of its first member whose map overflows or
-amplifies.  integrate_full and integrate_adiabatic are batches of one;
+run alone, so a member's rows are byte for byte those of its run alone.  A
+batch is all driven or all free: a free member would propagate the augmented
+map and round differently from its run alone, so a batch that mixes them is
+rejected.  A batch is also rejected with the message of its first member
+whose map overflows or amplifies.  integrate_full and integrate_adiabatic are
+batches of one and store every kept row in the returned trajectory.
 adiabatic_validity_report runs the full and the reduced free decay as one
-batch of two and reduces their magnon deviation column by column.
+batch of two and stores none: the stepper hands it each block of up to
+MAX_SPAN rows, kept in a ring of 2 MAX_SPAN rows per member, and it folds
+their magnon deviation, column by column, into a running maximum, so its
+memory does not grow with t_end/dt.
 
 The reduced model runs in the full model's 3-mode layout (a, m1, m2), with a
 zero cavity row and column, and returns the magnon columns.  A BLAS product
 sums in an order set by its shapes, so the full and reduced runs share every
 shape: that, and the exact zeros of a decoupled model, keep decoupled magnons
-bit for bit the same in both models.  Every product writes only the 2 MODES
-state columns and sums over the input axis in order.  A driven batch keeps
-the drive's constant [1, 0] as an input column of every row, so the trailing
-[1, 0] of an augmented input, against a q of exactly 0, leaves the rows of a
-free run unchanged.
+bit for bit the same in both models.  Every product writes whole rows and
+sums over the input axis in order.  A driven run's rows end in the drive's
+constant [1, 0]: the last two columns of the real augmented map are those of
+the identity, so every power of it maps the constant to itself exactly, and
+only row 0 is given it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +77,9 @@ MAX_SPAN = 4096
 # Longest run accepted, in steps.  A run costs O(log stride + log MAX_SPAN)
 # squarings, one product per MAX_SPAN rows and O(rows) memory: at stride 1
 # (every step kept) 10**7 steps store 480 MB of three complex amplitudes for a
-# free run and 640 MB for a driven one, whose rows carry the drive's constant,
-# while a strided run stores only its rows and the budget then bounds the
-# accumulated rounding.
+# free run and 640 MB for a driven one, whose rows carry the drive's constant.
+# A strided run stores only its rows and the validity report only a ring of
+# 2 MAX_SPAN rows per run; for them the budget bounds the accumulated rounding.
 MAX_STEPS = 10**7
 # How far the computed spectral radius of the step map may exceed 1 (rounding
 # in its eigenvalues); growth by this factor over MAX_STEPS steps stays below 1e-5.
@@ -89,7 +95,8 @@ class Trajectory:
     states         : (n, k) complex amplitudes, k = 3 (full) or 2 (reduced; the
                      magnon columns of a run in the 3-mode layout).  A driven
                      run's states are a view of its (n, 4) rows, whose last
-                     column holds the drive's constant 1
+                     column holds the drive's constant, exactly 1 + 0j in
+                     every row: the step map carries it from row 0
     dt             : actual RK4 step size used (t_end snapped to a whole number of
                      steps), not the spacing of the rows
     final_residual : norm of the right-hand side at the final state; tends to
@@ -197,21 +204,33 @@ def _matrix_power(v: np.ndarray, exponent: int) -> np.ndarray:
 
 
 def _integrate_batch(
-    runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]], t_end: float, dt: float, stride: int = 1
-) -> tuple[np.ndarray, float]:
+    runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    t_end: float,
+    dt: float,
+    stride: int = 1,
+    on_block: Callable[[np.ndarray], None] | None = None,
+) -> tuple[np.ndarray | None, float]:
     """Fixed-step RK4 on dy/dt = A y + F for each run (A, F, y0) of a batch, on one grid.
 
     Every run steps from t = 0 to t_end at the same step h and keeps every
     stride-th step and the last.  A k-mode run (k <= MODES) is the trailing
     k x k block of the MODES-mode layout, with zero rows and columns for the
     modes it lacks.  Returns the (batch, rows, MODES) states in that layout and h.
+    The members are all driven or all free: a mixed batch raises ValueError.
 
     Row 0 is the initial state.  With W the real step map to the power stride
     and span starting at 1, each real product per member sets the next span
     rows to the span rows before them times W^span; span then doubles, and
-    W^span is squared, until span reaches MAX_SPAN.  Products write only the
-    state columns: a driven batch keeps the drive's constant [1, 0] as an
-    input column of its rows and returns a view of the state columns.
+    W^span is squared, until span reaches MAX_SPAN.  Products write whole
+    rows.  A driven batch's rows end in the drive's constant [1, 0], which the
+    last two columns of W map to itself exactly, so only row 0 is given it;
+    the states returned are a view of the state columns.
+
+    With on_block, the rows are not returned (states is None): on_block is
+    called with each block of up to MAX_SPAN consecutive rows, a
+    (batch, rows, MODES) view, in order and the tail row included, and only a
+    ring of 2 MAX_SPAN rows per member is kept.  Past the doubling each block
+    is read from one half of the ring and written to the other.
     """
     n_steps = step_count(t_end, dt)
     if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
@@ -229,29 +248,39 @@ def _integrate_batch(
         layout_force[member, j:] = force
         first_rows[member, j:] = state0
         lead = min(lead, j)
+    driven = layout_force.any(axis=-1)
+    if driven.any() and not driven.all():
+        raise ValueError("a batch must not mix driven and free runs")
     m = _step_map(layout_a, layout_force, h)
     _check_step_map(m, lead, dt)
     n_rows, tail = divmod(n_steps, stride)
-    # Rows 0 .. n_rows and one for the tail step.
-    buffer = np.empty((len(runs), n_rows + 1 + bool(tail), m.shape[-1]), dtype=complex)
+    # Rows 0 .. n_rows and one for the tail step; row i is kept in slot i % length.
+    total = n_rows + 1 + bool(tail)
+    length = total if on_block is None else min(total, 2 * MAX_SPAN)
+    buffer = np.empty((len(runs), length, m.shape[-1]), dtype=complex)
     buffer[:, 0, :MODES] = first_rows
-    buffer[:, :, MODES:] = 1.0
+    buffer[:, 0, MODES:] = 1.0
     rows = buffer.view(float)
     u = _real_form(m)
     power = _matrix_power(u, stride)
     span = done = 1
-    while done <= n_rows:
-        step = min(span, n_rows + 1 - done)
-        np.matmul(rows[:, done - span:done - span + step], power[..., :2 * MODES],
-                  out=rows[:, done:done + step, :2 * MODES])
+    folded = 0
+    while done < total:
+        if done <= n_rows:
+            step, source, w = min(span, n_rows + 1 - done), done - span, power
+        else:  # the tail step, from the last stride-th row
+            step, source, w = 1, n_rows, _matrix_power(u, tail)
+        slot, source = done % length, source % length
+        np.matmul(rows[:, source:source + step], w, out=rows[:, slot:slot + step])
         done += step
         if span < MAX_SPAN and done <= n_rows:
             power = np.matmul(power, power)
             span *= 2
-    if tail:
-        np.matmul(rows[:, n_rows:n_rows + 1], _matrix_power(u, tail)[..., :2 * MODES],
-                  out=rows[:, n_rows + 1:, :2 * MODES])
-    return buffer[..., :MODES], h
+        if on_block is not None and (done % MAX_SPAN == 0 or done == total):
+            slot = folded % length
+            on_block(buffer[:, slot:slot + done - folded, :MODES])
+            folded = done
+    return (buffer[..., :MODES] if on_block is None else None), h
 
 
 def _integrate_linear(
@@ -264,7 +293,8 @@ def _integrate_linear(
     states, h = _integrate_batch([(a, force, state0)], t_end, dt, stride)
     states = states[0, :, MODES - state0.size:]
     times = np.arange(len(states), dtype=float)
-    times *= stride  # exact: whole numbers below 2**53
+    if stride != 1:
+        times *= stride  # exact: whole numbers below 2**53
     times *= h
     times[-1] = t_end
     residual = float(np.linalg.norm(a @ states[-1] + force))
@@ -349,19 +379,27 @@ def adiabatic_validity_report(
     full0 = np.array([slaved_cavity_amplitude(params, m0[0], m0[1]), m0[0], m0[1]])
     system = build_driven_system(params, DriveParams(delta=0.0, amplitude=0.0))
     reduced = build_adiabatic_model(params)
-    # The full and the reduced decay as one batch of two: magnon columns 1 and 2 of each.
-    states, _ = _integrate_batch(
+    peak = 0.0
+
+    def fold(block):
+        # Squared deviation per row: the real and imaginary parts of both magnons,
+        # summed in that order.  Each operation runs on 1-D columns: on (n, 2)
+        # views numpy would loop over the rows with an inner loop of length 2.
+        nonlocal peak
+        d1 = block[0, :, 1] - block[1, :, 1]
+        d2 = block[0, :, 2] - block[1, :, 2]
+        squares = d1.real * d1.real
+        squares += d1.imag * d1.imag
+        squares += d2.real * d2.real
+        squares += d2.imag * d2.imag
+        peak = np.maximum(peak, squares.max())
+
+    # The full and the reduced decay as one batch of two (magnon columns 1 and
+    # 2 of each), folded block by block into the largest squared deviation.
+    _integrate_batch(
         [(-1j * system.matrix, system.force, full0), (-1j * reduced.matrix, np.zeros(2, dtype=complex), m0)],
         t_end,
         dt,
+        on_block=fold,
     )
-    # Squared deviation per row: the real and imaginary parts of both magnons,
-    # summed in that order.  Each operation runs on 1-D columns: on (n, 2)
-    # views numpy would loop over the rows with an inner loop of length 2.
-    d1 = states[0, :, 1] - states[1, :, 1]
-    d2 = states[0, :, 2] - states[1, :, 2]
-    squares = d1.real * d1.real
-    squares += d1.imag * d1.imag
-    squares += d2.real * d2.real
-    squares += d2.imag * d2.imag
-    return float(math.sqrt(squares.max()) / np.linalg.norm(m0))
+    return float(math.sqrt(peak) / np.linalg.norm(m0))

@@ -1,6 +1,7 @@
 """Tests for the time-domain integrators and the adiabatic validity check."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -219,6 +220,11 @@ class TestStride:
         assert traj.times.size == 11
 
 
+X0 = np.array([0.2 - 0.7j, 0.5 + 0.1j, 0.3 - 0.4j])
+Y0 = np.array([-0.6 + 0.1j, 0.25j, 0.9 - 0.3j])
+M0 = np.array([0.8 + 0.3j, -0.4 + 0.6j])
+
+
 DECOUPLED = SystemParams(kappa=1, gamma1=0.01, gamma2=0.03, g1=0, g2=0, s=0.3)
 
 
@@ -237,23 +243,15 @@ class TestSharedLayout:
 
     @pytest.mark.parametrize("n_steps,stride", [(PASS_STEPS + 3, 1), (2 * PASS_STEPS + 5, 1), (20000, 7), (999, 64)]
                              + [(n, 1) for n in EDGE_STEPS])
-    def test_free_run_matches_the_augmented_map(self, monkeypatch, n_steps, stride):
-        # The drive column of a free run is exactly 0, so dropping it changes no
-        # bit; the strided runs end with a tail step.
-        x0 = np.array([0.2 - 0.7j, 0.5 + 0.1j, 0.3 - 0.4j])
-        dt = accurate_dt(build_driven_system(RINGING, FREE).matrix)
-        free = integrate_full(RINGING, FREE, x0, n_steps * dt, dt, stride)
-        step_map = dynamics._step_map
-
-        def augmented_step_map(a, force, h):
-            m = np.eye(force.size + 1, dtype=complex)
-            m[:-1, :-1] = step_map(a, force, h)
-            return m
-
-        monkeypatch.setattr(dynamics, "_step_map", augmented_step_map)
-        augmented = integrate_full(RINGING, FREE, x0, n_steps * dt, dt, stride)
-        assert free.states.tobytes() == augmented.states.tobytes()
-        assert free.final_residual == augmented.final_residual
+    def test_driven_rows_keep_the_constant_exactly(self, n_steps, stride):
+        # Only row 0 is given the drive's constant; the step map's last two
+        # columns carry it to every later row, the tail row of a strided run included.
+        drive = DriveParams(delta=0.1, amplitude=1.0)
+        dt = accurate_dt(build_driven_system(RINGING, drive).matrix)
+        traj = integrate_full(RINGING, drive, X0, n_steps * dt, dt, stride)
+        rows = traj.states.base
+        assert rows.shape == (1, traj.times.size, 4)
+        assert rows[0, :, 3].tobytes() == np.ones(traj.times.size, dtype=complex).tobytes()
 
     def test_identical_runs_give_identical_bytes(self):
         drive = DriveParams(delta=0.1, amplitude=1.0)
@@ -278,26 +276,32 @@ def reduced_run(params, state0):
     return -1j * build_adiabatic_model(params).matrix, np.zeros(2, dtype=complex), np.asarray(state0, dtype=complex)
 
 
-X0 = np.array([0.2 - 0.7j, 0.5 + 0.1j, 0.3 - 0.4j])
-Y0 = np.array([-0.6 + 0.1j, 0.25j, 0.9 - 0.3j])
-M0 = np.array([0.8 + 0.3j, -0.4 + 0.6j])
-
-
 class TestBatch:
     """Runs on one grid step as one batch, and each member is byte for byte its run alone."""
 
     @pytest.mark.parametrize("n_steps", [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5] + EDGE_STEPS)
-    def test_driven_and_free_members_equal_their_runs_alone(self, n_steps):
-        # The driven member makes the whole batch propagate the augmented map.
+    def test_driven_members_equal_their_runs_alone(self, n_steps):
         drive = DriveParams(delta=0.05, amplitude=1.3)
+        other = DriveParams(delta=-0.1, amplitude=0.4)
         dt = accurate_dt(build_driven_system(RINGING, drive).matrix)
         t_end = n_steps * dt
-        states, h = dynamics._integrate_batch([full_run(RINGING, drive, X0), full_run(RINGING, FREE, Y0)], t_end, dt)
+        states, h = dynamics._integrate_batch([full_run(RINGING, drive, X0), full_run(WEAK, other, Y0)], t_end, dt)
         driven = integrate_full(RINGING, drive, X0, t_end, dt)
-        free = integrate_full(RINGING, FREE, Y0, t_end, dt)
         assert h == driven.dt
         assert states[0].tobytes() == driven.states.tobytes()
-        assert states[1].tobytes() == free.states.tobytes()
+        assert states[1].tobytes() == integrate_full(WEAK, other, Y0, t_end, dt).states.tobytes()
+
+    @pytest.mark.parametrize("n_steps", [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5] + EDGE_STEPS)
+    @pytest.mark.parametrize("free", ["full", "reduced"])
+    def test_rejects_driven_and_free_members(self, n_steps, free):
+        # A free member would propagate the augmented map and round differently
+        # from its run alone, so a batch is all driven or all free.
+        drive = DriveParams(delta=0.05, amplitude=1.3)
+        t_end = n_steps * 0.01
+        free_run = full_run(WEAK, FREE, Y0) if free == "full" else reduced_run(WEAK, M0)
+        for runs in ([full_run(WEAK, drive, X0), free_run], [free_run, full_run(WEAK, drive, X0)]):
+            with pytest.raises(ValueError, match="mix driven and free"):
+                dynamics._integrate_batch(runs, t_end, 0.01)
 
     @pytest.mark.parametrize("n_steps", [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5] + EDGE_STEPS)
     def test_full_and_reduced_members_equal_their_runs_alone(self, n_steps):
@@ -317,13 +321,33 @@ class TestBatch:
         drive = DriveParams(delta=-0.02, amplitude=0.7)
         dt = accurate_dt(build_driven_system(WEAK, drive).matrix)
         t_end = n_steps * dt
-        runs = [full_run(WEAK, drive, X0), full_run(WEAK, FREE, Y0), reduced_run(WEAK, M0)]
-        states, _ = dynamics._integrate_batch(runs, t_end, dt, stride)
-        assert states.shape == (3, n_steps // stride + 2, 3)
-        assert states[0].tobytes() == integrate_full(WEAK, drive, X0, t_end, dt, stride).states.tobytes()
-        assert states[1].tobytes() == integrate_full(WEAK, FREE, Y0, t_end, dt, stride).states.tobytes()
+        other = DriveParams(delta=0.3, amplitude=1.1)
+        driven, _ = dynamics._integrate_batch([full_run(WEAK, drive, X0), full_run(RINGING, other, Y0)], t_end, dt, stride)
+        assert driven.shape == (2, n_steps // stride + 2, 3)
+        assert driven[0].tobytes() == integrate_full(WEAK, drive, X0, t_end, dt, stride).states.tobytes()
+        assert driven[1].tobytes() == integrate_full(RINGING, other, Y0, t_end, dt, stride).states.tobytes()
+        states, _ = dynamics._integrate_batch([full_run(WEAK, FREE, Y0), reduced_run(WEAK, M0)], t_end, dt, stride)
+        assert states.shape == (2, n_steps // stride + 2, 3)
+        assert states[0].tobytes() == integrate_full(WEAK, FREE, Y0, t_end, dt, stride).states.tobytes()
         alone = dynamics._integrate_linear(*reduced_run(WEAK, M0), t_end, dt, stride)
-        assert states[2, :, 1:].tobytes() == alone.states.tobytes()
+        assert states[1, :, 1:].tobytes() == alone.states.tobytes()
+
+    @pytest.mark.parametrize("n_steps,stride", [(n, 1) for n in [1, BLOCK_STEPS - 1, PASS_STEPS + 1, 2 * PASS_STEPS + 5]
+                                                 + EDGE_STEPS] + [(20000, 7), (999, 64), (3 * PASS_STEPS + 5, 3)])
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_blocks_are_the_rows_in_order(self, n_steps, stride, driven):
+        # With on_block the rows pass through a ring of 2 MAX_SPAN rows: the blocks
+        # handed out, the tail row included, are byte for byte the stored rows.
+        drive = DriveParams(delta=0.05, amplitude=1.3) if driven else FREE
+        runs = [full_run(RINGING, drive, X0), full_run(WEAK, drive, Y0)]
+        dt = accurate_dt(build_driven_system(RINGING, drive).matrix)
+        t_end = n_steps * dt
+        stored, _ = dynamics._integrate_batch(runs, t_end, dt, stride)
+        blocks = []
+        states, _ = dynamics._integrate_batch(runs, t_end, dt, stride, on_block=lambda block: blocks.append(block.copy()))
+        assert states is None
+        assert all(0 < block.shape[1] <= MAX_SPAN for block in blocks)
+        assert np.concatenate(blocks, axis=1).tobytes() == stored.tobytes()
 
     @pytest.mark.parametrize("first,second", [
         ("stable", "unstable"),
@@ -571,6 +595,21 @@ class TestAdiabaticValidityReport:
             m0[0] = 1.0
         dt = min(accurate_dt(build_driven_system(p, FREE).matrix), accurate_dt(build_adiabatic_model(p).matrix))
         assert adiabatic_validity_report(p, m0, n_steps * dt, dt) == report_reference(p, m0, n_steps * dt, dt)
+
+    @pytest.mark.parametrize("n_steps", [10**5, 10**6])
+    def test_keeps_a_ring_of_rows_not_the_runs(self, n_steps):
+        # The report folds each block of rows into its maximum and keeps only a
+        # ring of 2 MAX_SPAN rows per member: 0.99 MB traced at either length,
+        # where storing both runs takes 9.6 MB per 10**5 steps.
+        tracemalloc.start()
+        try:
+            deviation = adiabatic_validity_report(WEAK, [1.0, 0.5j], n_steps * 0.01, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+        if n_steps == 10**5:
+            assert deviation == report_reference(WEAK, [1.0, 0.5j], n_steps * 0.01, 0.01)
 
     def test_decoupled_systems_agree_exactly(self):
         p = SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0, g2=0, s=0.3)
