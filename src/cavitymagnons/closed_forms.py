@@ -10,8 +10,11 @@ propagate_exact, the oracle for the RK4 integrator, and resonance_peak_height,
 the symmetric system's total spincurrent at zero detuning from the exact
 steady state.  Its matrix exponential is a degree-13 Pade scaling and
 squaring in numpy; the tests check it against scipy's expm.
-The runtime modules compute every observable from the exact matrices and never
-import this module; the tests check those computations against these forms.
+The runtime modules never import this module.  Sweeps and steady states work
+from the rates (eigenvalues as roots of the characteristic polynomial, steady
+states from the resolvent's first column); single-point eigenvalues and RK4
+dynamics work from the exact matrices.  The tests check all of them against
+these forms.
 """
 
 from __future__ import annotations

@@ -155,15 +155,15 @@ def _step_map(a: np.ndarray, force: np.ndarray, h: float) -> np.ndarray:
         return m
 
 
-def _check_step_map(m: np.ndarray, lead: int, dt: float) -> None:
+def _check_step_map(m: np.ndarray, dt: float) -> None:
     """Reject a batch with the message of its first member whose step map overflows or amplifies.
 
-    The rule reads P[lead:, lead:], with lead the fewest leading layout modes
-    that a member lacks: a member with more of them adds its phantom
-    eigenvalues, which are exactly 1 and never amplify.
+    The rule reads the MODES x MODES block P.  A member that lacks a layout
+    mode has a zero row and column there, which give P the phantom
+    eigenvalue exactly 1, so it never amplifies.
     """
     finite = np.isfinite(m).all(axis=(-2, -1))
-    live = m[..., lead:MODES, lead:MODES]
+    live = m[..., :MODES, :MODES]
     if not finite.all():
         live = np.where(finite[..., None, None], live, 0.0)  # eigvals takes only finite input
     radii = np.abs(np.linalg.eigvals(live)).max(axis=-1)
@@ -239,7 +239,6 @@ def _integrate_batch(
     layout_a = np.zeros((len(runs), MODES, MODES), dtype=complex)
     layout_force = np.zeros((len(runs), MODES), dtype=complex)
     first_rows = np.zeros((len(runs), MODES), dtype=complex)
-    lead = MODES
     for member, (a, force, state0) in enumerate(runs):
         if not np.all(np.isfinite(state0)):
             raise ValueError("initial state must be finite")
@@ -247,12 +246,11 @@ def _integrate_batch(
         layout_a[member, j:, j:] = a
         layout_force[member, j:] = force
         first_rows[member, j:] = state0
-        lead = min(lead, j)
     driven = layout_force.any(axis=-1)
     if driven.any() and not driven.all():
         raise ValueError("a batch must not mix driven and free runs")
     m = _step_map(layout_a, layout_force, h)
-    _check_step_map(m, lead, dt)
+    _check_step_map(m, dt)
     n_rows, tail = divmod(n_steps, stride)
     # Rows 0 .. n_rows and one for the tail step; row i is kept in slot i % length.
     total = n_rows + 1 + bool(tail)

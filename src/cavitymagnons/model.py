@@ -23,9 +23,6 @@ import numpy as np
 HBAR = 1.0545718e-34
 
 _EYE3 = np.eye(3)
-# d/ds of the full and of the reduced matrix: the magnons sit at +s and -s.
-_FULL_SPLITTING = np.diag([0.0, 1.0, -1.0])
-_ADIABATIC_SPLITTING = np.diag([1.0, -1.0])
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -103,9 +100,8 @@ class EffectiveHamiltonian:
 class AdiabaticModel:
     """Reduced 2x2 magnon-only model after eliminating a fast cavity.
 
-    matrix       : 2x2 complex matrix in mode order (m1, m2), or a (..., 2, 2)
-                   stack over a sweep of s; the off-diagonal entries are
-                   -i*g1*g2/kappa, a purely dissipative coupling
+    matrix       : 2x2 complex matrix in mode order (m1, m2); the off-diagonal
+                   entries are -i*g1*g2/kappa, a purely dissipative coupling
     induced_rate : g1*g2/kappa
     gamma_tilde1 : dressed decay rate gamma1 + g1**2/kappa
     gamma_tilde2 : dressed decay rate gamma2 + g2**2/kappa
@@ -120,30 +116,22 @@ class AdiabaticModel:
         self.matrix.setflags(write=False)
 
 
-def build_full_hamiltonian(params: SystemParams, s=None) -> np.ndarray:
+def build_full_hamiltonian(params: SystemParams) -> np.ndarray:
     """Build the 3x3 non-Hermitian coupled-mode matrix in mode order (a, m1, m2).
 
     The diagonal carries -i*kappa, s - i*gamma1, -s - i*gamma2; the couplings
     g1, g2 sit symmetrically between the cavity and each magnon, and there is
     no direct magnon-magnon element.
-
-    With s given (any array shape), params.s is ignored and the result is the
-    stack H(s=0) + s[..., None, None] * diag(0, 1, -1) of shape (*s.shape, 3, 3),
-    entry for entry equal to building each point on its own.
     """
     p = params
-    at = p.s if s is None else 0.0
-    h = np.array(
+    return np.array(
         [
             [-1j * p.kappa, p.g1, p.g2],
-            [p.g1, at - 1j * p.gamma1, 0.0],
-            [p.g2, 0.0, -at - 1j * p.gamma2],
+            [p.g1, p.s - 1j * p.gamma1, 0.0],
+            [p.g2, 0.0, -p.s - 1j * p.gamma2],
         ],
         dtype=complex,
     )
-    if s is not None:
-        h = h + np.asarray(s, dtype=float)[..., None, None] * _FULL_SPLITTING
-    return h
 
 
 def build_driven_system(params: SystemParams, drive: DriveParams) -> EffectiveHamiltonian:
@@ -182,7 +170,7 @@ def _dressed_rates(p: SystemParams) -> tuple[float, float, float]:
     return p.gamma1 + p.g1 * p.g1 / p.kappa, p.gamma2 + p.g2 * p.g2 / p.kappa, p.induced_rate
 
 
-def build_adiabatic_model(params: SystemParams, s=None) -> AdiabaticModel:
+def build_adiabatic_model(params: SystemParams) -> AdiabaticModel:
     """Eliminate the cavity by slaving it to the magnons (a = -i(g1 m1 + g2 m2)/kappa).
 
     Valid when the cavity relaxes much faster than everything else
@@ -193,20 +181,15 @@ def build_adiabatic_model(params: SystemParams, s=None) -> AdiabaticModel:
 
     with gamma_tilde_i = gamma_i + g_i**2/kappa: each magnon picks up a
     cavity-induced decay, and the two magnons acquire a purely imaginary
-    (dissipative) mutual coupling.  With s given (any array shape) the matrix
-    is the (*s.shape, 2, 2) stack over those splittings, as in
-    build_full_hamiltonian.
+    (dissipative) mutual coupling.
     """
     gt1, gt2, rate = _dressed_rates(params)
-    at = params.s if s is None else 0.0
     matrix = np.array(
         [
-            [at - 1j * gt1, -1j * rate],
-            [-1j * rate, -at - 1j * gt2],
+            [params.s - 1j * gt1, -1j * rate],
+            [-1j * rate, -params.s - 1j * gt2],
         ],
         dtype=complex,
     )
-    if s is not None:
-        matrix = matrix + np.asarray(s, dtype=float)[..., None, None] * _ADIABATIC_SPLITTING
     return AdiabaticModel(matrix=matrix, induced_rate=rate, gamma_tilde1=gt1, gamma_tilde2=gt2)
 

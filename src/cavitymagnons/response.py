@@ -21,7 +21,6 @@ input-output coefficients t = sqrt(kappa) a / E and r = t - 1.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,29 +73,6 @@ class ResponsePoint:
         return self.t - 1.0
 
 
-class ResponsePoints(Sequence):
-    """Read-only view of sweep columns as ResponsePoint objects.
-
-    Each point is built when it is accessed; its fields equal the sweep's
-    column values bit for bit.  Indexing takes negative indices and slices (a
-    slice gives a tuple of points) and raises IndexError out of range.
-    """
-
-    def __init__(self, deltas: np.ndarray, states: np.ndarray, t: np.ndarray):
-        self._deltas = deltas
-        self._states = states
-        self._t = t
-
-    def __len__(self) -> int:
-        return len(self._deltas)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        a, m1, m2 = self._states[index]
-        return ResponsePoint(float(self._deltas[index]), a, m1, m2, self._t[index])
-
-
 @dataclass(frozen=True)
 class SpectrumSweep:
     """Steady-state response columns over a drive-detuning grid plus detected peaks.
@@ -108,7 +84,8 @@ class SpectrumSweep:
              grid, (delta, height) pairs in increasing delta order
 
     total_spincurrent, dark_amplitude and r are computed from these columns
-    on access; points is a lazy read-only sequence of ResponsePoint objects.
+    on access, and so is points, a tuple of ResponsePoint objects whose
+    fields equal the column values bit for bit.
     """
 
     deltas: np.ndarray
@@ -133,8 +110,10 @@ class SpectrumSweep:
         return self.t - 1.0
 
     @property
-    def points(self) -> ResponsePoints:
-        return ResponsePoints(self.deltas, self.states, self.t)
+    def points(self) -> tuple[ResponsePoint, ...]:
+        return tuple(
+            ResponsePoint(float(delta), a, m1, m2, t) for delta, (a, m1, m2), t in zip(self.deltas, self.states, self.t)
+        )
 
 
 def _singular(delta) -> np.linalg.LinAlgError:

@@ -46,7 +46,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -438,7 +438,7 @@ def _magnon_pair(params: SystemParams, s: float, adiabatic: bool) -> tuple[float
         radical = cmath.sqrt(half * half - rate * rate)
         a, b = mean + radical, mean - radical
     else:
-        a, b, c = eigenvalues_3x3(build_full_hamiltonian(params, s=s)).tolist()
+        a, b, c = eigenvalues_3x3(build_full_hamiltonian(replace(params, s=s))).tolist()
         if a.imag <= b.imag and a.imag <= c.imag:
             a = c
         elif b.imag <= c.imag:
@@ -529,10 +529,10 @@ def _discriminant_roots(params: SystemParams, adiabatic: bool) -> list[complex]:
     roots = []
     if degree > 0:
         companion = _COMPANION[degree].copy()
-        # -p[1:]/p[0] for p[0] = 4 - 0j, as numpy divides: (a + i b)/p[0] is
-        # ((a + b*r)*t, (b - a*r)*t) with r = -0.0/4 and t = 1/(4 + r*r).
-        companion[0] = [complex((-z.real + -z.imag * -0.0) * 0.25, (-z.imag - -z.real * -0.0) * 0.25)
-                        for z in disc[1:degree + 1]]
+        # -p[1:]/p[0] as np.roots builds it: by p[0] = 4 - 0j, Python's complex
+        # quotient takes numpy's steps but divides by 4 where numpy multiplies
+        # by 0.25, which rounds alike.
+        companion[0] = [-z / disc[0] for z in disc[1:degree + 1]]
         roots = np.linalg.eigvals(companion).tolist()
     roots += [0j] * (len(disc) - 1 - degree)
     # One Newton step gives a small root the relative accuracy that the gap

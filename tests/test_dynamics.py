@@ -372,6 +372,16 @@ class TestBatch:
         assert "stability" in str(alone.value) or "overflows" in str(alone.value)
         assert str(batch.value) == str(alone.value)
 
+    def test_rejects_with_the_message_of_an_amplifying_reduced_member(self):
+        # The reduced member's zero cavity row gives its map the phantom
+        # eigenvalue exactly 1, so the check reads it as it reads a full member.
+        unstable = SystemParams(kappa=1, gamma1=0, gamma2=0, g1=0.2, g2=0.2, s=60)
+        with pytest.raises(ValueError, match="stability") as alone:
+            integrate_adiabatic(build_adiabatic_model(unstable), M0, t_end=27.5, dt=0.0574)
+        with pytest.raises(ValueError) as batch:
+            dynamics._integrate_batch([full_run(WEAK, FREE, X0), reduced_run(unstable, M0)], t_end=27.5, dt=0.0574)
+        assert str(batch.value) == str(alone.value)
+
 
 class TestIntegrateFull:
     def test_free_decay_to_vacuum(self):

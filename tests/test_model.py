@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,18 +111,6 @@ class TestFullHamiltonian:
         numeric = np.poly(h)
         scale = np.abs(expected).max()
         assert_allclose(numeric, expected, rtol=0, atol=1e-12 * max(scale, 1.0))
-
-
-class TestSweepStacks:
-    @given(system_params_strategy(), st.lists(splittings, min_size=1, max_size=20))
-    def test_stacks_equal_single_point_builds(self, params, s_values):
-        full = build_full_hamiltonian(params, s=s_values)
-        reduced = build_adiabatic_model(params, s=s_values).matrix
-        assert full.shape == (len(s_values), 3, 3) and reduced.shape == (len(s_values), 2, 2)
-        for i, s in enumerate(s_values):
-            point = replace(params, s=s)
-            assert np.array_equal(full[i], build_full_hamiltonian(point))
-            assert np.array_equal(reduced[i], build_adiabatic_model(point).matrix)
 
 
 class TestDrivenSystem:

@@ -38,7 +38,7 @@ from cavitymagnons.spectra import (
     track_branches,
 )
 
-from conftest import best_match_errors, couplings, kappas, splittings, system_params_strategy
+from conftest import best_match_errors, couplings, kappas, matrix_stack, splittings, system_params_strategy
 
 SQRT2 = math.sqrt(2.0)
 
@@ -82,12 +82,12 @@ def every_step_tied(n):
 def pair_gap_reference(params, s, adiabatic):
     """Gap and mean of the magnon-like pair, building and solving H(s) at each s."""
     if adiabatic:
-        m = build_adiabatic_model(params, s=s).matrix
+        m = matrix_stack(params, s, adiabatic=True)
         mean = (m[0, 0] + m[1, 1]) / 2.0
         radical = cmath.sqrt(((m[0, 0] - m[1, 1]) / 2.0) ** 2 + m[0, 1] * m[1, 0])
         values = np.array([mean + radical, mean - radical], dtype=complex)
     else:
-        values = eigenvalues_3x3(build_full_hamiltonian(params, s=s))
+        values = eigenvalues_3x3(matrix_stack(params, s))
         values = np.delete(values, np.argmin(values.imag))
     return abs(values[0] - values[1]), complex(values.mean())
 
@@ -103,7 +103,7 @@ def discriminant_polynomial_reference(params):
     The products that _discriminant_polynomial writes out, in the complex128
     arithmetic they replaced.
     """
-    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = build_full_hamiltonian(params, s=0.0).tolist()
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = matrix_stack(params, 0.0).tolist()
     shift = (h00 + h11 + h22) / 3.0
     h00, h11, h22 = h00 - shift, h11 - shift, h22 - shift
     c = np.array([-1.0, h22 - h11, h00 * h11 + h00 * h22 + h11 * h22 - h01 * h10 - h02 * h20 - h12 * h21])
@@ -274,7 +274,7 @@ class TestEigenvalues3x3:
     @settings(max_examples=50)
     def test_stack_matches_single_matrices_exactly(self, params, n):
         s_values = np.linspace(-abs(params.s) - 1.0, abs(params.s) + 1.0, n)
-        stacked = eigenvalues_3x3(build_full_hamiltonian(params, s=s_values))
+        stacked = eigenvalues_3x3(matrix_stack(params, s_values))
         assert stacked.shape == (n, 3)
         for i, s in enumerate(s_values):
             single = eigenvalues_3x3(build_full_hamiltonian(SystemParams(
@@ -294,7 +294,7 @@ class TestRootKernels:
     @settings(max_examples=100, deadline=None)
     def test_roots_satisfy_characteristic_equation(self, params, half_width, n):
         s_values = np.linspace(-half_width, half_width, n)
-        h = build_full_hamiltonian(params, s=s_values)
+        h = matrix_stack(params, s_values)
         for matrix, roots in zip(h, _cubic_roots(params, s_values)):
             norm = np.linalg.norm(matrix)
             for lam in roots:
@@ -304,7 +304,7 @@ class TestRootKernels:
     @settings(max_examples=100, deadline=None)
     def test_root_sum_and_product(self, params, half_width, n):
         s_values = np.linspace(-half_width, half_width, n)
-        h = build_full_hamiltonian(params, s=s_values)
+        h = matrix_stack(params, s_values)
         for matrix, roots in zip(h, _cubic_roots(params, s_values)):
             trace = np.trace(matrix)
             det = np.linalg.det(matrix)
@@ -320,10 +320,10 @@ class TestRootKernels:
     @settings(max_examples=100, deadline=None)
     def test_roots_match_lapack(self, params, half_width, n):
         s_values = np.linspace(-half_width, half_width, n)
-        h = build_full_hamiltonian(params, s=s_values)
+        h = matrix_stack(params, s_values)
         for matrix, roots in zip(h, _cubic_roots(params, s_values)):
             assert_matches_lapack(roots, matrix)
-        m = build_adiabatic_model(params, s=s_values).matrix
+        m = matrix_stack(params, s_values, adiabatic=True)
         for matrix, roots in zip(m, _pair_roots(params, s_values)):
             assert_matches_lapack(roots, matrix)
 
@@ -342,7 +342,7 @@ class TestRootKernels:
         # root) and 0.5 (the polaritons) against |lambda| up to ~140.
         params = SystemParams(kappa=1, gamma1=1e-4, gamma2=1e-4, g1=50, g2=50)
         s_values = np.linspace(-100, 100, 2001)
-        roots, oracle = _cubic_roots(params, s_values), np.linalg.eigvals(build_full_hamiltonian(params, s=s_values))
+        roots, oracle = _cubic_roots(params, s_values), np.linalg.eigvals(matrix_stack(params, s_values))
         # The real parts are at least 2 g apart, so sorting on them pairs the roots.
         roots = np.take_along_axis(roots, np.argsort(roots.real, axis=1), axis=1)
         oracle = np.take_along_axis(oracle, np.argsort(oracle.real, axis=1), axis=1)
@@ -358,7 +358,7 @@ class TestRootKernels:
         # q = -2i/64 exactly: one of -q/2 +/- sqrt(q^2/4) is exactly 0, and
         # taking it would read as a triple root.
         params = SystemParams(kappa=4, gamma1=1, gamma2=1, g1=1, g2=1)
-        assert_matches_lapack(_cubic_roots(params, np.array([sign]))[0], build_full_hamiltonian(params, s=sign))
+        assert_matches_lapack(_cubic_roots(params, np.array([sign]))[0], matrix_stack(params, sign))
 
     def test_blocks_do_not_change_the_roots(self, monkeypatch):
         s_values = np.linspace(-3.0, 3.0, 2 * ROOT_BLOCK_ROWS + 1)
@@ -650,9 +650,9 @@ class TestBranchTracking:
     def test_matches_per_step_reference(self, params, half_width, n, adiabatic):
         s_values = np.linspace(-half_width, half_width, n)
         if adiabatic:
-            raw = np.linalg.eigvals(build_adiabatic_model(params, s=s_values).matrix)
+            raw = np.linalg.eigvals(matrix_stack(params, s_values, adiabatic=True))
         else:
-            raw = eigenvalues_3x3(build_full_hamiltonian(params, s=s_values))
+            raw = eigenvalues_3x3(matrix_stack(params, s_values))
         tracked, ambiguous = track_branches(raw)
         expected, expected_ambiguous = track_branches_reference(raw)
         assert np.array_equal(tracked, expected)
