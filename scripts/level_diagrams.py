@@ -6,70 +6,31 @@ strong-coupling regime (g = 2, gamma_i = 1) and the bad-cavity regime
 
 Writes CSV tables plus JSON sidecars with the detected gap minima."""
 
-import argparse
-from pathlib import Path
+import sys
 
-from cavitymagnons.entry import default_to_one_blas_thread
+from cavitymagnons.entry import run_figure_configs
 
-default_to_one_blas_thread()  # before cavitymagnons.cli loads numpy
-
-from cavitymagnons.cli import parse_config, run  # noqa: E402
-
-REPULSION = """\
+TEMPLATE = """\
 [run]
 mode = eig-sweep
 
 [system]
-gamma1 = 1
-gamma2 = 1
-g1 = 2
-g2 = 2
+gamma1 = {gamma}
+gamma2 = {gamma}
+g1 = {g}
+g2 = {g}
 
 [sweep]
 variable = s
-min = -6
-max = 6
+min = -{span}
+max = {span}
 points = 481
-
-[output]
-path = {path}
-format = both
 """
 
-ATTRACTION = """\
-[run]
-mode = eig-sweep
-
-[system]
-gamma1 = 0.01
-gamma2 = 0.01
-g1 = 0.2
-g2 = 0.2
-
-[sweep]
-variable = s
-min = -0.2
-max = 0.2
-points = 481
-
-[output]
-path = {path}
-format = both
-"""
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--outdir", default="results", help="output directory")
-    args = parser.parse_args()
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    for name, template in (("level_repulsion", REPULSION), ("level_attraction", ATTRACTION)):
-        config = parse_config(template.format(path=outdir / f"{name}.csv"))
-        for path in run(config):
-            print(path)
-
+CASES = {
+    "level_repulsion": {"gamma": 1, "g": 2, "span": 6},
+    "level_attraction": {"gamma": 0.01, "g": 0.2, "span": 0.2},
+}
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_figure_configs(__doc__, {name: TEMPLATE.format(**case) for name, case in CASES.items()}))

@@ -6,14 +6,9 @@ Two parameter sets: lossless magnons at s = 0.01 (perfect transparency at
 zero detuning, dip width ~ s^2 kappa/g^2) and gamma = 0.01 at the coalescence
 point s = g^2/kappa = 0.04 (a partial window with |r(0)|^2 ~ 0.10)."""
 
-import argparse
-from pathlib import Path
+import sys
 
-from cavitymagnons.entry import default_to_one_blas_thread
-
-default_to_one_blas_thread()  # before cavitymagnons.cli loads numpy
-
-from cavitymagnons.cli import parse_config, run  # noqa: E402
+from cavitymagnons.entry import run_figure_configs
 
 TEMPLATE = """\
 [run]
@@ -31,30 +26,12 @@ variable = delta
 min = -0.3
 max = 0.3
 points = 1201
-
-[output]
-path = {path}
-format = both
 """
 
-CASES = (
-    ("reflection_lossless_s001", 0.0, 0.01),
-    ("reflection_damped_s004", 0.01, 0.04),
-)
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--outdir", default="results", help="output directory")
-    args = parser.parse_args()
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    for name, gamma, s in CASES:
-        config = parse_config(TEMPLATE.format(gamma=gamma, s=s, path=outdir / f"{name}.csv"))
-        for path in run(config):
-            print(path)
-
+CASES = {
+    "reflection_lossless_s001": {"gamma": 0.0, "s": 0.01},
+    "reflection_damped_s004": {"gamma": 0.01, "s": 0.04},
+}
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_figure_configs(__doc__, {name: TEMPLATE.format(**case) for name, case in CASES.items()}))

@@ -109,39 +109,48 @@ def child_env(threads) -> dict:
     return env
 
 
+# Runs the statement {run}, then prints its exit code and what OPENBLAS_NUM_THREADS
+# was when numpy was first imported.
+NUMPY_SPY = """\
+import os, runpy, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == 'numpy' and not seen:
+            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))
+sys.meta_path.insert(0, Spy())
+code = 0
+try:
+    {run}
+except SystemExit as exc:
+    code = exc.code
+print(code, *seen)
+"""
+
+
+def spy_run(run: str, threads, cwd=None) -> list[str]:
+    """[exit code, value seen when numpy loaded] of the statement `run` under the numpy spy."""
+    proc = subprocess.run([sys.executable, "-c", NUMPY_SPY.format(run=run)], capture_output=True, text=True,
+                          env=child_env(threads), cwd=cwd, timeout=120)
+    lines = proc.stdout.splitlines()
+    return lines[-1].split() if lines else [proc.stderr]
+
+
 @pytest.mark.parametrize("threads,expected", [(None, "1"), ("2", "2")])
 def test_the_module_entry_sets_the_default_before_numpy_loads(threads, expected):
-    # The spy records the variable when numpy is first imported; a bad flag
-    # then ends the run with a config error.
-    script = (
-        "import os, runpy, sys\n"
-        "seen = []\n"
-        "class Spy:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'numpy' and not seen:\n"
-        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-        "sys.meta_path.insert(0, Spy())\n"
-        "sys.argv = ['cavitymagnons', '--format', 'nope']\n"
-        "try:\n"
-        "    runpy.run_module('cavitymagnons', run_name='__main__')\n"
-        "except SystemExit as exc:\n"
-        "    print(exc.code, *seen)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env(threads),
-                          timeout=60)
-    assert proc.stdout.split() == ["1", expected], proc.stderr
+    # A bad flag ends the run with a config error once numpy has loaded.
+    run = "sys.argv = ['cavitymagnons', '--format', 'nope']; runpy.run_module('cavitymagnons', run_name='__main__')"
+    assert spy_run(run, threads) == ["1", expected]
 
 
-def test_console_script_and_scripts_set_the_default_before_the_cli_loads():
+def test_console_script_and_scripts_set_the_default_before_the_cli_loads(tmp_path):
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["scripts"] == {"cavity-magnons": "cavitymagnons.entry:main"}
     assert len(SCRIPTS) == 3
     for path in SCRIPTS:
-        body = ast.parse(path.read_text()).body
-        calls = [i for i, node in enumerate(body) if isinstance(node, ast.Expr)
-                 and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", "") == "default_to_one_blas_thread"]
-        cli = [i for i, node in enumerate(body) if isinstance(node, ast.ImportFrom) and node.module == "cavitymagnons.cli"]
-        assert len(calls) == 1 and len(cli) == 1 and calls[0] < cli[0], path.name
+        for threads, expected in ((None, "1"), ("2", "2")):
+            run = f"sys.argv = [{str(path)!r}, '--outdir', 'out']; runpy.run_path({str(path)!r}, run_name='__main__')"
+            assert spy_run(run, threads, cwd=tmp_path) == ["0", expected], (path.name, threads)
 
 
 def test_script_outputs_do_not_depend_on_blas_threads(tmp_path):
@@ -150,9 +159,35 @@ def test_script_outputs_do_not_depend_on_blas_threads(tmp_path):
         workdir = tmp_path / (threads or "unset")
         workdir.mkdir()
         for path in SCRIPTS:
+            before = set((workdir / "out").glob("*"))
             proc = subprocess.run([sys.executable, str(path), "--outdir", "out"], cwd=workdir, capture_output=True,
                                   text=True, env=child_env(threads), timeout=120)
             assert proc.returncode == 0, proc.stderr
+            # Each written file is printed once, as its path under --outdir.
+            written = set((workdir / "out").glob("*")) - before
+            assert sorted(proc.stdout.splitlines()) == sorted(str(f.relative_to(workdir)) for f in written), path.name
         outputs.append({f.name: f.read_bytes() for f in sorted((workdir / "out").iterdir())})
     assert len(outputs[0]) == 28
     assert outputs[0] == outputs[1]
+
+
+REFLECTION_SCRIPT = ROOT / "scripts" / "reflection_windows.py"
+
+
+@pytest.mark.parametrize("outdir", ["figs #1", " lead", "a\nb"])
+def test_a_script_refuses_an_outdir_the_config_grammar_cannot_carry(tmp_path, outdir):
+    proc = subprocess.run([sys.executable, str(REFLECTION_SCRIPT), "--outdir", outdir], cwd=tmp_path,
+                          capture_output=True, text=True, env=child_env(None), timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"config error: --outdir: not a valid config value: {outdir!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_script_writes_into_an_outdir_with_a_space(tmp_path):
+    proc = subprocess.run([sys.executable, str(REFLECTION_SCRIPT), "--outdir", "ok dir"], cwd=tmp_path,
+                          capture_output=True, text=True, env=child_env(None), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = [f"{case}.{suffix}" for case in ("reflection_lossless_s001", "reflection_damped_s004")
+             for suffix in ("csv", "json")]
+    assert proc.stdout.splitlines() == [f"ok dir/{name}" for name in names]
+    assert sorted(f.name for f in (tmp_path / "ok dir").iterdir()) == sorted(names)
