@@ -1,10 +1,12 @@
 """Command-line front end: config-driven sweeps with CSV/JSON output.
 
 A run is described by an INI-style config file whose sections and keys are
-the `GRAMMAR` table (documented in the README).  Results are written as a CSV
-table, one row per sweep point, with a versioned header comment, and
-optionally a JSON sidecar carrying a canonical echo of the parsed config plus
-detected features (peaks, gap minima, exceptional-point locations).
+the `GRAMMAR` table (documented in the README); the `MODES` table beside it
+holds each mode's runner, `[sweep]` variable and need of a `[drive]`.
+Results are written as a CSV table, one row per sweep point, with a
+versioned header comment, and optionally a JSON sidecar carrying a canonical
+echo of the parsed config plus detected features (peaks, gap minima,
+exceptional-point locations).
 
 Each mode's runner returns `(columns, features)`, where `columns` is an
 ordered dict from a quantity's name to its 1-D array, real or complex.  `run`
@@ -14,7 +16,10 @@ or `t_seconds` for dynamics) and writes a complex `q` as `re_q, im_q`.
 Exit codes: 0 success; 1 config error (diagnostic names the first invalid
 field, or the command line, the config file or the output path at fault);
 2 numerical failure (diagnostic names the sweep point, or the column or
-feature holding a NaN or infinity; nothing is written).
+feature holding a NaN or infinity; nothing is written).  `main` and the
+experiment scripts' `entry.run_figure_configs` share the check of an output
+path set outside the config file (`_parse_carried`) and the run loop that
+picks these exit codes (`_run_configs`).
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,15 +38,6 @@ import numpy as np
 from . import dynamics, response, spectra
 from .model import DriveParams, SystemParams, _dressed_rates, drive_amplitude_from_power
 
-MODES = ("eig-sweep", "response-sweep", "reflection-sweep", "ep-find", "adiabatic-compare", "dynamics")
-SWEEP_MODES = {
-    "eig-sweep": "s",
-    "ep-find": "s",
-    "adiabatic-compare": "s",
-    "response-sweep": "delta",
-    "reflection-sweep": "delta",
-}
-DRIVE_REQUIRED = ("response-sweep", "dynamics")
 FORMATS = ("csv", "json", "both")
 CSV_SCHEMA = 1
 # Bounds every sweep: at 10^6 points on 2 vCPUs an eig-sweep run takes 7.5-8.5 s and 224 MB peak RSS
@@ -47,20 +45,6 @@ CSV_SCHEMA = 1
 MAX_SWEEP_POINTS = 10**6
 # Rows that run() formats and writes per pass, so the CSV text is never whole in memory.
 CSV_BLOCK_ROWS = 8192
-
-# The config grammar: per section, the modes whose configs may carry it and
-# its keys with their types, in check and render order.
-GRAMMAR = {
-    "run": (MODES, {"mode": str}),
-    "system": (MODES, {"kappa": float, "gamma1": float, "gamma2": float, "g1": float, "g2": float, "s": float}),
-    "sweep": (tuple(SWEEP_MODES), {"variable": str, "min": float, "max": float, "points": int}),
-    "drive": (MODES, {"amplitude": float, "power": float, "frequency": float}),
-    "dynamics": (("dynamics",), {"t_end": float, "dt": float, "delta": float}),
-    "ep": (("ep-find",), {"model": str}),
-    "si": (MODES, {"kappa_hz": float}),
-    "output": (MODES, {"path": str, "format": str}),
-}
-
 
 class ConfigError(ValueError):
     """Invalid run configuration; `field` names the first offending entry."""
@@ -163,7 +147,7 @@ def parse_config(text: str) -> RunConfig:
     if used("sweep", f"not used by mode {mode}"):
         if "sweep" not in texts:
             raise ConfigError("sweep", f"missing section (required for mode {mode})")
-        expected_var = SWEEP_MODES[mode]
+        expected_var = MODES[mode].sweep
         sweep_variable = get("sweep", "variable") or expected_var
         if sweep_variable != expected_var:
             raise ConfigError(
@@ -205,7 +189,7 @@ def parse_config(text: str) -> RunConfig:
             field = "drive.frequency" if str(exc).startswith("drive_frequency") else "drive.power"
             raise ConfigError(field, str(exc)) from None
         drive = DriveParams(delta=0.0, amplitude=amplitude)
-    if mode in DRIVE_REQUIRED and drive is None:
+    if MODES[mode].drive and drive is None:
         raise ConfigError("drive", f"required for mode {mode}")
 
     t_end = dt = None
@@ -237,6 +221,8 @@ def parse_config(text: str) -> RunConfig:
     output_path = get("output", "path") or f"{mode}.csv"
     if any(ord(char) < 32 or ord(char) == 127 for char in output_path):
         raise ConfigError("output.path", f"control character in {output_path!r}")
+    if os.path.basename(_output_base(output_path)) in ("", ".", ".."):
+        raise ConfigError("output.path", f"names a directory, not a file: {output_path!r}")
     output_format = get("output", "format") or "both"
     if output_format not in FORMATS:
         raise ConfigError("output.format", f"must be one of {', '.join(FORMATS)}, got {output_format!r}")
@@ -269,7 +255,7 @@ def render_config(config: RunConfig) -> str:
     values = {
         "run": {"mode": config.mode},
         "system": vars(config.system),
-        "sweep": {"variable": SWEEP_MODES.get(config.mode), "min": config.sweep_min, "max": config.sweep_max,
+        "sweep": {"variable": MODES[config.mode].sweep, "min": config.sweep_min, "max": config.sweep_max,
                   "points": config.sweep_points},
         # The drive route the config gave: amplitude, or power + frequency.
         "drive": {"amplitude": drive.amplitude if drive is not None and config.drive_power is None else None,
@@ -410,13 +396,29 @@ def _run_dynamics(config: RunConfig) -> tuple[dict, dict]:
     return columns, features
 
 
-_RUNNERS = {
-    "eig-sweep": _run_eig_sweep,
-    "ep-find": _run_ep_find,
-    "response-sweep": _run_response_sweep,
-    "reflection-sweep": _run_reflection_sweep,
-    "adiabatic-compare": _run_adiabatic_compare,
-    "dynamics": _run_dynamics,
+# The per-mode half of the grammar, in the order diagnostics list the modes: each mode's
+# runner, its [sweep] variable (None: the mode takes no [sweep]) and whether it needs a [drive].
+_Mode = namedtuple("_Mode", "runner sweep drive")
+MODES = {
+    "eig-sweep": _Mode(_run_eig_sweep, "s", False),
+    "response-sweep": _Mode(_run_response_sweep, "delta", True),
+    "reflection-sweep": _Mode(_run_reflection_sweep, "delta", False),
+    "ep-find": _Mode(_run_ep_find, "s", False),
+    "adiabatic-compare": _Mode(_run_adiabatic_compare, "s", False),
+    "dynamics": _Mode(_run_dynamics, None, True),
+}
+
+# The config grammar: per section, the modes whose configs may carry it and
+# its keys with their types, in check and render order.
+GRAMMAR = {
+    "run": (MODES, {"mode": str}),
+    "system": (MODES, {"kappa": float, "gamma1": float, "gamma2": float, "g1": float, "g2": float, "s": float}),
+    "sweep": (tuple(m for m in MODES if MODES[m].sweep), {"variable": str, "min": float, "max": float, "points": int}),
+    "drive": (MODES, {"amplitude": float, "power": float, "frequency": float}),
+    "dynamics": (("dynamics",), {"t_end": float, "dt": float, "delta": float}),
+    "ep": (("ep-find",), {"model": str}),
+    "si": (MODES, {"kappa_hz": float}),
+    "output": (MODES, {"path": str, "format": str}),
 }
 
 
@@ -434,10 +436,9 @@ def render_csv(headers: list[str], columns: list) -> str:
     return "".join(_csv_blocks(headers, columns))
 
 
-def _output_paths(path: str) -> tuple[str, str]:
-    """The CSV and JSON paths: `path` less one trailing .csv or .json, plus each suffix."""
-    base = path.removesuffix(".csv") if path.endswith(".csv") else path.removesuffix(".json")
-    return base + ".csv", base + ".json"
+def _output_base(path: str) -> str:
+    """`path` less one trailing .csv or .json; the CSV and JSON paths are it plus each suffix."""
+    return path.removesuffix(".csv") if path.endswith(".csv") else path.removesuffix(".json")
 
 
 def _nonfinite_feature(value, name: str) -> str | None:
@@ -465,7 +466,7 @@ def run(config: RunConfig) -> list[str]:
     # Overflow shows up as NaN or infinity in the output, which the checks
     # below report; numpy's own warnings would only bury that diagnostic.
     with np.errstate(over="ignore", invalid="ignore"):
-        named, features = _RUNNERS[config.mode](config)
+        named, features = MODES[config.mode].runner(config)
         if config.kappa_hz is not None:
             first, values = next(iter(named.items()))
             if config.mode == "dynamics":
@@ -484,7 +485,8 @@ def run(config: RunConfig) -> list[str]:
     bad_feature = _nonfinite_feature(features, "features")
     if bad_feature is not None:
         raise ValueError(f"non-finite value in {bad_feature}; nothing written")
-    csv_path, json_path = _output_paths(config.output_path)
+    base = _output_base(config.output_path)
+    csv_path, json_path = base + ".csv", base + ".json"
     written = []
     if config.output_format in ("csv", "both"):
         with open(csv_path, "w", encoding="utf-8", newline="") as handle:
@@ -511,6 +513,43 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError("command line", message)
 
 
+def _parse_carried(text: str, path: str, field: str, given: str) -> RunConfig:
+    """Parse `text`, whose [output] path `path` was set from `given` outside the config file.
+
+    ConfigError(field) unless the grammar carries `path` unchanged: the sidecar's config_text re-parses to the run.
+    """
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        config = None
+    if config is None or config.output_path != path:
+        raise ConfigError(field, f"not a valid config value: {given!r}")
+    return config
+
+
+def _run_configs(prepare) -> int:
+    """Run the configs that `prepare()` returns, in order, and print each written path; the exit code.
+
+    1 for a ConfigError (from `prepare` too) or an OSError, 2 for any other ValueError, with one stderr line.
+    """
+    try:
+        for config in prepare():
+            for path in run(config):
+                print(path)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"config error: output.path: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # e.g. no coalescence in the EP bracket, an integrator step rejected by
+        # the stability bound, or non-finite output
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def main(argv=None) -> int:
     parser = _ArgumentParser(
         prog="cavity-magnons",
@@ -520,7 +559,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="path to the run configuration file")
     parser.add_argument("--output", help="override the output path from the config")
     parser.add_argument("--format", choices=FORMATS, help="override the output format")
-    try:
+
+    def configs() -> list[RunConfig]:
         args = parser.parse_args(argv)
         if args.config is None:
             raise ConfigError("config", "no --config file given")
@@ -531,34 +571,13 @@ def main(argv=None) -> int:
             raise ConfigError("config", str(exc)) from None
         config = parse_config(text)
         if args.output is not None:
-            config = replace(config, output_path=args.output)
-            # The sidecar's config_text has to re-parse to this very run.
-            try:
-                valid = parse_config(render_config(config)) == config
-            except ConfigError:
-                valid = False
-            if not valid:
-                raise ConfigError("output.path", f"not a valid config value: {args.output!r}")
+            text = render_config(replace(config, output_path=args.output))
+            config = _parse_carried(text, args.output, "output.path", args.output)
         if args.format is not None:
             config = replace(config, output_format=args.format)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+        return [config]
 
-    try:
-        written = run(config)
-    except OSError as exc:
-        print(f"config error: output.path: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # e.g. no coalescence in the EP bracket, an integrator step rejected by
-        # the stability bound, or non-finite output
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
-
-    for path in written:
-        print(path)
-    return 0
+    return _run_configs(configs)
 
 
 if __name__ == "__main__":

@@ -6,12 +6,11 @@ worker threads, which the package's small products never need.  The command,
 `python -m cavitymagnons` and the scripts ask for one thread before numpy
 loads; the library itself leaves its user's environment alone.  Each script
 under `scripts/` holds only its config table and hands it to
-`run_figure_configs`.
+`run_figure_configs`, a thin caller of `cavitymagnons.cli`: the command line,
+the output-path check, the exit codes and every printed line are the CLI's.
 """
 
-import argparse
 import os
-import sys
 from pathlib import Path
 
 
@@ -40,30 +39,23 @@ def run_figure_configs(description: str, configs: dict[str, str]) -> int:
     an `[output]` block with its path, and every config is parsed before the
     directory is made.  An outdir that the config grammar would not carry
     unchanged (a ` #` comment, surrounding spaces, a control character) is
-    refused with one `config error:` line and exit code 1, and nothing is
-    created or written.  Otherwise the configs run in order, each written
-    path is printed, and the exit code is 0.
+    refused, and nothing is created or written.  The configs then run in
+    order; the command line's exit codes and diagnostics are the CLI's.
     """
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument("--outdir", default="results", help="output directory")
-    given = parser.parse_args().outdir
-    outdir = Path(given)
     default_to_one_blas_thread()
-    from .cli import ConfigError, parse_config, run
+    from . import cli
 
-    parsed = []
-    for name, text in configs.items():
-        path = str(outdir / f"{name}.csv")
+    def configs_under_outdir() -> list:
+        parser = cli._ArgumentParser(description=description)
+        parser.add_argument("--outdir", default="results", help="output directory")
+        outdir = parser.parse_args().outdir
+        paths = {name: str(Path(outdir, f"{name}.csv")) for name in configs}
+        parsed = [cli._parse_carried(f"{text}\n[output]\npath = {paths[name]}\n", paths[name], "--outdir", outdir)
+                  for name, text in configs.items()]
         try:
-            config = parse_config(f"{text}\n[output]\npath = {path}\n")
-        except ConfigError:
-            config = None
-        if config is None or config.output_path != path:
-            print(f"config error: --outdir: not a valid config value: {given!r}", file=sys.stderr)
-            return 1
-        parsed.append(config)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for config in parsed:
-        for path in run(config):
-            print(path)
-    return 0
+            Path(outdir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise cli.ConfigError("--outdir", str(exc)) from None
+        return parsed
+
+    return cli._run_configs(configs_under_outdir)

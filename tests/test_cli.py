@@ -131,6 +131,8 @@ class TestParseConfig:
         ("[DEFAULT]\nkappa = 2\n[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n", "DEFAULT"),
         ("[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n[output]\npath = out\n  more.csv\n",
          "output.path"),
+        ("[run]\nmode = eig-sweep\n[sweep]\nmin = -1\nmax = 1\npoints = 11\n[output]\npath = sub/.json\n",
+         "output.path"),
     ])
     def test_errors_name_the_first_invalid_field(self, snippet, field):
         with pytest.raises(ConfigError) as err:
@@ -454,8 +456,12 @@ class TestMainExitCodes:
         (["--config", "run.cfg", "--output", ""], "config error: output.path: "),
         (["--config", "run.cfg", "--output", " sp.csv"], "config error: output.path: "),
         (["--config", "run.cfg", "--output", "x #y.csv"], "config error: output.path: "),
+        # Paths whose last component, less one suffix, names a directory.
+        (["--config", "run.cfg", "--output", "."], "config error: output.path: "),
+        (["--config", "run.cfg", "--output", "./"], "config error: output.path: "),
+        (["--config", "run.cfg", "--output", ".csv"], "config error: output.path: "),
     ], ids=["not-utf8", "format-xml", "unknown-flag", "missing-directory", "empty-output", "spaced-output",
-            "commented-output"])
+            "commented-output", "dot-output", "dot-slash-output", "bare-suffix-output"])
     def test_bad_command_lines_are_config_errors(self, tmp_path, args, diagnostic):
         (tmp_path / "run.cfg").write_text(EIG_CONFIG.format(path="out.csv"))
         (tmp_path / "not_utf8.cfg").write_bytes(b"\xff\xfe[run]\nmode = eig-sweep\n")
@@ -477,6 +483,7 @@ class TestMainExitCodes:
         # One suffix comes off, whichever it is.
         ("a.json.csv", ["a.json.csv", "a.json.json"]),
         ("a.csv.json", ["a.csv.csv", "a.csv.json"]),
+        (".hidden", [".hidden.csv", ".hidden.json"]),
     ])
     def test_output_path_loses_one_suffix(self, tmp_path, capsys, output, written):
         config_path = tmp_path / "run.cfg"

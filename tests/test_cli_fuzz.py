@@ -17,7 +17,7 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavitymagnons.cli import FORMATS, GRAMMAR, MAX_SWEEP_POINTS, MODES, SWEEP_MODES
+from cavitymagnons.cli import FORMATS, GRAMMAR, MAX_SWEEP_POINTS, MODES
 from cavitymagnons.dynamics import MAX_STEPS
 
 from conftest import couplings, kappas, rates, splittings
@@ -101,7 +101,7 @@ def _typical_texts(draw, mode):
         ("system", "g1"): draw(_optional(_number(couplings))),
         ("system", "g2"): draw(_optional(_number(couplings))),
         ("system", "s"): draw(_optional(_number(splittings))),
-        ("sweep", "variable"): draw(_optional(st.just(SWEEP_MODES.get(mode)))),
+        ("sweep", "variable"): draw(_optional(st.just(MODES[mode].sweep))),
         ("sweep", "min"): draw(_number(st.floats(-1.0, -0.01))),
         ("sweep", "max"): draw(_number(st.floats(0.01, 1.0))),
         ("sweep", "points"): str(draw(_count(st.integers(2, 300), MAX_SWEEP_POINTS))),
@@ -121,7 +121,7 @@ def _typical_texts(draw, mode):
 @st.composite
 def config_texts(draw):
     """A config for a drawn mode: every section and key the grammar lets it carry."""
-    mode = draw(st.sampled_from(MODES))
+    mode = draw(st.sampled_from(tuple(MODES)))
     texts = draw(_typical_texts(mode))
     fields = {(section, key) for section, (_, keys) in GRAMMAR.items() for key in keys}
     assert texts.keys() == fields, f"typical values and grammar fields differ: {texts.keys() ^ fields}"

@@ -174,12 +174,45 @@ def test_script_outputs_do_not_depend_on_blas_threads(tmp_path):
 REFLECTION_SCRIPT = ROOT / "scripts" / "reflection_windows.py"
 
 
-@pytest.mark.parametrize("outdir", ["figs #1", " lead", "a\nb"])
-def test_a_script_refuses_an_outdir_the_config_grammar_cannot_carry(tmp_path, outdir):
-    proc = subprocess.run([sys.executable, str(REFLECTION_SCRIPT), "--outdir", outdir], cwd=tmp_path,
-                          capture_output=True, text=True, env=child_env(None), timeout=120)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == f"config error: --outdir: not a valid config value: {outdir!r}\n"
+EP_OUT_OF_BRACKET = ("from cavitymagnons.entry import run_figure_configs\n"
+                     "raise SystemExit(run_figure_configs('', {'ep': '[run]\\nmode = ep-find\\n"
+                     "[sweep]\\nmin = 1000\\nmax = 1001\\npoints = 11\\n'}))\n")
+
+
+@pytest.mark.parametrize("argv,made,code,stderr,left", [
+    # (arguments after the interpreter, paths made beforehand (a trailing / is a directory), exit code,
+    # the start of the one stderr line, every path under the working directory afterwards)
+    *[([str(REFLECTION_SCRIPT), "--outdir", outdir], [], 1,
+       f"config error: --outdir: not a valid config value: {outdir!r}\n", [])
+      for outdir in ["figs #1", " lead", "a\nb"]],
+    ([str(REFLECTION_SCRIPT), "--bogus"], [], 1, "config error: command line: unrecognized arguments: --bogus\n", []),
+    ([str(REFLECTION_SCRIPT), "--outdir", "afile"], ["afile"], 1,
+     "config error: --outdir: [Errno 17] File exists: 'afile'\n", ["afile"]),
+    ([str(REFLECTION_SCRIPT), "--outdir", "out"], ["out/reflection_lossless_s001.csv/"], 1,
+     "config error: output.path: [Errno 21] Is a directory: 'out/reflection_lossless_s001.csv'\n",
+     ["out/", "out/reflection_lossless_s001.csv/"]),
+    (["-c", EP_OUT_OF_BRACKET, "--outdir", "out"], [], 2, "numerical error: no coalescence in [1000.0, 1001.0]: ",
+     ["out/"]),
+], ids=["figs #1", " lead", "a\nb", "unknown-flag", "outdir-is-a-file", "output-is-a-directory",
+        "numerical-failure"])
+def test_a_script_refuses_an_outdir_the_config_grammar_cannot_carry(tmp_path, argv, made, code, stderr, left):
+    for name in made:
+        if name.endswith("/"):
+            (tmp_path / name).mkdir(parents=True)
+        else:
+            (tmp_path / name).write_text("")
+    proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, capture_output=True, text=True,
+                          env=child_env(None), timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith(stderr) and proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert sorted(f"{f.relative_to(tmp_path)}{'/' * f.is_dir()}" for f in tmp_path.rglob("*")) == left
+
+
+def test_a_script_help_exits_0(tmp_path):
+    proc = subprocess.run([sys.executable, str(REFLECTION_SCRIPT), "--help"], cwd=tmp_path, capture_output=True,
+                          text=True, env=child_env(None), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "--outdir" in proc.stdout
     assert list(tmp_path.iterdir()) == []
 
 

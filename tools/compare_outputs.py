@@ -7,7 +7,9 @@ Each side (PARENT_DIR, and the checkout holding this file) runs the three
 PYTHONPATH.  The nine configs cover every mode: eig-sweep (plain and with
 `[si]`), response-sweep, reflection-sweep, ep-find (adiabatic and full),
 adiabatic-compare, and dynamics (plain, and with a power/frequency drive
-plus `[si]`).
+plus `[si]`).  One more run gives the reflection-sweep config
+`--output out/reflection_override.csv --format csv`, so the command-line
+override route is compared too.
 
 The two sides' exit codes, stdout, stderr, file names and file bytes are
 compared.  For each CSV that differs, the max abs and max rel diff of each
@@ -53,6 +55,8 @@ def run_side(side: Path, workdir: Path) -> dict[str, tuple[int, str, str]]:
     for name, text in CONFIGS.items():
         (workdir / f"{name}.cfg").write_text(f"{text}[output]\npath = out/{name}.csv\n", encoding="utf-8")
         commands[name] = ["-m", "cavitymagnons", "--config", f"{name}.cfg"]
+    commands["reflection_override"] = ["-m", "cavitymagnons", "--config", "reflection_sweep.cfg",
+                                       "--output", "out/reflection_override.csv", "--format", "csv"]
     results = {}
     for name, args in commands.items():
         proc = subprocess.run([sys.executable, *args], cwd=workdir, env=env, capture_output=True, text=True,
