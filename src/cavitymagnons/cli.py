@@ -513,41 +513,52 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError("command line", message)
 
 
-def _parse_carried(text: str, path: str, field: str, given: str) -> RunConfig:
+def _parse_carried(text: str, path: str, field: str, given: str, expected: RunConfig | None = None) -> RunConfig:
     """Parse `text`, whose [output] path `path` was set from `given` outside the config file.
 
-    ConfigError(field) unless the grammar carries `path` unchanged: the sidecar's config_text re-parses to the run.
+    ConfigError(field) unless the grammar carries `path` unchanged, and the text re-parses to `expected`
+    when that is given: the sidecar's config_text re-parses to the run.
     """
     try:
         config = parse_config(text)
     except ConfigError:
         config = None
-    if config is None or config.output_path != path:
+    if config is None or config.output_path != path or (expected is not None and config != expected):
         raise ConfigError(field, f"not a valid config value: {given!r}")
     return config
+
+
+def _exit_code(call, *args):
+    """`(call(*args), 0)`, or one stderr line and `(None, code)`: 1 for a ConfigError or an OSError, 2 for
+    any other ValueError."""
+    try:
+        return call(*args), 0
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return None, 1
+    except OSError as exc:
+        print(f"config error: output.path: {exc}", file=sys.stderr)
+        return None, 1
+    except ValueError as exc:
+        # e.g. no coalescence in the EP bracket, an integrator step rejected by
+        # the stability bound, or non-finite output
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return None, 2
 
 
 def _run_configs(prepare) -> int:
     """Run the configs that `prepare()` returns, in order, and print each written path; the exit code.
 
-    1 for a ConfigError (from `prepare` too) or an OSError, 2 for any other ValueError, with one stderr line.
+    Only `prepare` and `run` get exit codes: a path that cannot be printed (a closed stdout) raises.
     """
-    try:
-        for config in prepare():
-            for path in run(config):
-                print(path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"config error: output.path: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # e.g. no coalescence in the EP bracket, an integrator step rejected by
-        # the stability bound, or non-finite output
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    configs, code = _exit_code(prepare)
+    for config in configs or ():
+        written, code = _exit_code(run, config)
+        if code:
+            break
+        for path in written:
+            print(path)
+    return code
 
 
 def main(argv=None) -> int:
@@ -571,8 +582,8 @@ def main(argv=None) -> int:
             raise ConfigError("config", str(exc)) from None
         config = parse_config(text)
         if args.output is not None:
-            text = render_config(replace(config, output_path=args.output))
-            config = _parse_carried(text, args.output, "output.path", args.output)
+            config = replace(config, output_path=args.output)
+            _parse_carried(render_config(config), args.output, "output.path", args.output, config)
         if args.format is not None:
             config = replace(config, output_format=args.format)
         return [config]

@@ -1,5 +1,6 @@
 """Tests for config parsing, the run modes and the output formats."""
 
+import dataclasses
 import json
 import math
 import os
@@ -491,6 +492,38 @@ class TestMainExitCodes:
         assert main(["--config", str(config_path), "--output", str(tmp_path / output)]) == 0
         assert capsys.readouterr().out.split() == [str(tmp_path / name) for name in written]
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["run.cfg", *written])
+
+    def test_an_override_that_does_not_round_trip_is_refused(self, tmp_path, monkeypatch, capsys):
+        # Should render_config and parse_config ever disagree, --output must not run other parameters.
+        render = cavitymagnons.cli.render_config
+        monkeypatch.setattr("cavitymagnons.cli.render_config", lambda config: render(
+            dataclasses.replace(config, system=dataclasses.replace(config.system, kappa=2.0))))
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(EIG_CONFIG.format(path="ignored.csv"))
+        output = str(tmp_path / "out.csv")
+        assert main(["--config", str(config_path), "--output", output]) == 1
+        assert capsys.readouterr() == ("", f"config error: output.path: not a valid config value: {output!r}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("fault", [BrokenPipeError(32, "Broken pipe"),
+                                       UnicodeEncodeError("utf-8", "\udcff", 0, 1, "surrogates not allowed")],
+                             ids=["closed-stdout", "unencodable-path"])
+    def test_a_path_that_cannot_be_printed_is_not_blamed_on_the_run(self, tmp_path, capsys, monkeypatch, fault):
+        # The files are written; only stdout failed, so neither the config nor the numbers get an exit code.
+        class FailingStdout:
+            def write(self, text):
+                raise fault
+
+            def flush(self):
+                pass
+
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(EIG_CONFIG.format(path=tmp_path / "out.csv"))
+        monkeypatch.setattr(sys, "stdout", FailingStdout())
+        with pytest.raises(type(fault)):
+            main(["--config", str(config_path)])
+        assert capsys.readouterr().err == ""
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "out.json", "run.cfg"]
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
