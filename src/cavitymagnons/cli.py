@@ -18,8 +18,8 @@ field, or the command line, the config file or the output path at fault);
 2 numerical failure (diagnostic names the sweep point, or the column or
 feature holding a NaN or infinity; nothing is written).  `main` and the
 experiment scripts' `entry.run_figure_configs` share the check of an output
-path set outside the config file (`_parse_carried`) and the run loop that
-picks these exit codes (`_run_configs`).
+path set outside the config file (`_parse_carried`) and the run loop
+(`_run_configs`), whose `_exit_code` picks these codes.
 """
 
 from __future__ import annotations
@@ -534,16 +534,15 @@ def _exit_code(call, *args):
     try:
         return call(*args), 0
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return None, 1
+        message, code = f"config error: {exc}", 1
     except OSError as exc:
-        print(f"config error: output.path: {exc}", file=sys.stderr)
-        return None, 1
+        message, code = f"config error: output.path: {exc}", 1
     except ValueError as exc:
         # e.g. no coalescence in the EP bracket, an integrator step rejected by
         # the stability bound, or non-finite output
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return None, 2
+        message, code = f"numerical error: {exc}", 2
+    print(message, file=sys.stderr)
+    return None, code
 
 
 def _run_configs(prepare) -> int:
