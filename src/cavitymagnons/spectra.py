@@ -23,9 +23,16 @@ check alongside LAPACK, companion-matrix and closed-form oracles.
 
 Branch tracking matches consecutive sweep points by least summed
 displacement.  A step's cost is that of a matching of raw slots, summed in
-slot order, so its best matching and its flag depend only on its two rows:
-each step scores its k! matchings with array operations in fixed-size
-blocks, and a walk over the steps that move off the identity composes them.
+slot order, so its best matching and its flag depend only on its two rows.
+Any matching other than the identity moves two slots, so by the triangle
+inequality it costs at least 2 (sep - disp) more, sep being row i - 1's
+least pairwise separation and disp the identity's displacement; where that
+margin clears the flag tolerance and the rounding of the costs, the step is
+settled as the identity without scoring.  On smooth sweeps that is all but
+2 to 4 steps a sweep.  The rest score their k! matchings with array
+operations, and a walk over the steps that move off the identity composes
+them.  At 4001 points tracking takes about 0.35 ms (full model) and 0.27 ms
+(reduced), where scoring every step took about 0.85 and 0.52 ms.
 
 An exceptional point is a double eigenvalue, so the search takes the lowest
 real root in its bracket of the discriminant of the characteristic polynomial
@@ -55,8 +62,8 @@ from .model import SystemParams, _dressed_rates, build_full_hamiltonian
 # A pair of eigenvalues closer than this (in kappa units) counts as coalesced,
 # and a discriminant root this close to the real axis (in kappa units) counts as real.
 EP_GAP_TOLERANCE = 1e-6
-# Sweep steps that track_branches scores per pass; bounds its (k, k, block)
-# distances and (k!, block) matching scores.
+# Sweep steps that track_branches screens, and then scores, per pass; bounds its
+# (2k, block) screen temporaries, (k, k, block) distances and (k!, block) scores.
 TRACK_BLOCK_STEPS = 512
 # Matrices that the closed-form root kernels take per pass; bounds their
 # (k, block) temporaries to about 1 MB, which also keeps them in cache.
@@ -64,9 +71,10 @@ ROOT_BLOCK_ROWS = 1024
 # np.roots' companion matrices by degree: ones on the subdiagonal, the first
 # row left to fill.
 _COMPANION = {m: np.diag(np.ones(m - 1, dtype=complex), -1) for m in range(1, 7)}
+_EPS = np.finfo(float).eps
 # Real parts this close, relative to the endpoint's largest |s| or |lambda|,
 # tie when EigenBranchSet.magnon_branch_indices labels the +/- pair.
-_LABEL_TIE_EPS = 8.0 * np.finfo(float).eps
+_LABEL_TIE_EPS = 8.0 * _EPS
 
 
 class ExceptionalPointNotFound(ValueError):
@@ -332,64 +340,142 @@ def _matching_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, compose
 
 
+@functools.lru_cache(maxsize=None)
+def _slot_pairs(k: int) -> np.ndarray:
+    """Rows of the (2k, n) layout [Re slot 0 ... k - 1, Im slot 0 ... k - 1] that hold the slot pairs.
+
+    For the P = k(k - 1)/2 pairs a < b: rows [a..., a + k..., b..., b + k...],
+    so that gathered rows 0:2P less rows 2P:4P are the pairs' Re differences
+    and then their Im differences.  Built once per k and read-only.
+    """
+    a, b = np.array(list(itertools.combinations(range(k), 2))).T
+    rows = np.concatenate((a, a + k, b, b + k))
+    rows.setflags(write=False)
+    return rows
+
+
+def _score_steps(raw, steps, perms, ambiguity_tol):
+    """Score the k! matchings of each given step (m,) of raw (n, k).
+
+    Returns the steps' best matchings (m,), the identity (0) on ties, and a
+    mask (m,) of the steps whose runner-up costs at most ambiguity_tol *
+    max(best, max |raw[i]|) more.  Each step's values come from its own two
+    rows alone.
+    """
+    k = raw.shape[1]
+    current = raw.T.take(steps, axis=1)  # (k, m), contiguous along the steps
+    step = current[:, None] - raw.T.take(steps - 1, axis=1)[None, :]
+    # dist[a, b, i] = |raw[i, a] - raw[i - 1, b]|; hypot, like abs() of a
+    # complex scalar, keeps the costs bitwise equal to per-step scoring.
+    dist = np.hypot(step.real, step.imag)
+    # match[sigma, i] = sum over b of dist[sigma[b], b, i], summed in b order.
+    match = dist[perms[:, 0], 0]
+    for b in range(1, k):
+        match = match + dist[perms[:, b], b]
+    least = match.min(axis=0)
+    moved = np.flatnonzero(match[0] != least)  # ties prefer the identity, matching 0
+    best = np.zeros(len(least), dtype=np.intp)
+    best[moved] = match[:, moved].argmin(axis=0)
+    match[best, np.arange(len(least))] = np.inf
+    modulus = np.maximum(np.abs(current).max(axis=0), 1e-300)  # largest |raw[i]|
+    # Where the costs overflow, runner_up - least is NaN and the step is not flagged.
+    tied = match.min(axis=0) - least <= ambiguity_tol * np.maximum(least, modulus)
+    return best, tied
+
+
 def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.ndarray, list[int]]:
     """Assign raw eigenvalues (n, k) to persistent branches by nearest matching.
 
-    Each step i scores the k! matchings sigma of raw slots, slot b at row
-    i - 1 going to slot sigma[b] at row i, by their summed complex-plane
-    displacement sum_b |raw[i, sigma[b]] - raw[i - 1, b]|, summed in slot
-    order b = 0 ... k - 1, and takes the least (ties prefer the identity).
-    Steps whose runner-up costs at most ambiguity_tol * max(best, max
-    |raw[i]|) more are reported: there the branches are coalesced and either
-    matching is valid.  So a step's matching and flag depend only on rows
-    i - 1 and i, and the branches follow the composed matchings.  The steps
-    are scored with array operations, TRACK_BLOCK_STEPS at a time; a walk
-    over the steps that move off the identity composes their matchings, and
-    the rows in between keep the previous assignment.  A single branch needs
-    no matching and comes back unchanged.
+    Each step i takes, of the k! matchings sigma of raw slots (slot b at row
+    i - 1 going to slot sigma[b] at row i), the one of least summed
+    complex-plane displacement sum_b |raw[i, sigma[b]] - raw[i - 1, b]|,
+    summed in slot order b = 0 ... k - 1 (ties prefer the identity).  Steps
+    whose runner-up costs at most ambiguity_tol * max(best, max |raw[i]|)
+    more are reported: there the branches are coalesced and either matching
+    is valid.  So a step's matching and flag depend only on rows i - 1 and i,
+    and the branches follow the composed matchings.
+
+    Most steps are settled by a bound, unscored.  Let disp = sum_b |dRe_b| +
+    |dIm_b| over the step, at least the identity's cost, and let sep, the
+    least max(|dRe|, |dIm|) over the slot pairs of row i - 1, be at most the
+    least distance between two of its values.  Any other matching moves at
+    least two slots; by the triangle inequality each moved slot is displaced
+    at least sep less its own identity displacement, so the matching costs at
+    least 2 (sep - disp) more than the identity.  A step is the identity and
+    is not flagged where
+
+        sep - disp > (max(ambiguity_tol, 0)/2 + 4 k eps) (disp + 8 top),
+
+    top being the largest |Re| or |Im| on rows i - 1 and i, at least 1e-300.
+    The tolerance part covers tol * max(best, max |raw[i]|), as max(best,
+    max |raw[i]|) <= disp + 1.5 top.  The 4 k eps part covers rounding: each
+    computed cost, a sum in slot order of k hypots of rounded differences, is
+    within (k + 2) eps/2 of the exact one relative, disp within (2k + 1)
+    eps/2 and sep within eps/2, and a subnormal difference's absolute error
+    is far below eps * 1e-300.  NaN and inf values and a NaN tolerance never
+    pass, nor do values past 2.2e307, where 8 top overflows: the scored costs
+    and the tolerance product may overflow there.  So the screen decides no step
+    that scoring would decide otherwise, and what it leaves (2 to 4 steps in
+    each of the benchmark's sweeps) is scored with array operations.  Both
+    run TRACK_BLOCK_STEPS steps at a time.  A walk over the steps that move
+    off the identity composes their matchings, and the rows between two
+    moves are permuted as one slice, or where moves are many each row is
+    gathered through its assignment.  A single branch needs no matching and
+    comes back unchanged.
     """
     raw = np.asarray(raw, dtype=complex)
     n, k = raw.shape
     if k == 1:
         return raw.copy(), []
     perms, compose = _matching_tables(k)
-    slots = raw.T.copy()  # (k, n): each raw slot contiguous along the sweep
-    steps, matchings, ambiguous_steps = [], [], []
-    # Moduli and displacements of values near the float limit overflow to inf;
-    # such costs still order the matchings, so the scoring does not warn.
+    pairs, n_pairs = _slot_pairs(k), k * (k - 1) // 2
+    parts = np.concatenate((raw.real.T, raw.imag.T))  # (2k, n), each part contiguous along the sweep
+    slack = 0.5 * max(ambiguity_tol, 0.0) + 4 * k * _EPS  # NaN stays NaN
+    undecided = []
+    # Displacements and moduli of values near the float limit overflow to inf;
+    # such costs still order the matchings, and the screen passes no such step.
     with np.errstate(over="ignore", invalid="ignore"):
-        modulus = np.maximum(np.abs(slots).max(axis=0), 1e-300)  # largest |raw| per point
         for start in range(1, n, TRACK_BLOCK_STEPS):
             stop = min(start + TRACK_BLOCK_STEPS, n)
-            step = slots[:, None, start:stop] - slots[None, :, start - 1:stop - 1]
-            # dist[a, b, i] = |raw[i, a] - raw[i - 1, b]|; hypot, like abs() of a
-            # complex scalar, keeps the costs bitwise equal to per-step scoring.
-            dist = np.hypot(step.real, step.imag)
-            # match[sigma, i] = sum over b of dist[sigma[b], b, i], summed in b order.
-            match = dist[perms[:, 0], 0]
-            for b in range(1, k):
-                match = match + dist[perms[:, b], b]
-            least = match.min(axis=0)
-            moved = np.flatnonzero(match[0] != least)  # ties prefer the identity, matching 0
-            best = np.zeros(len(least), dtype=np.intp)
-            best[moved] = match[:, moved].argmin(axis=0)
-            match[best, np.arange(len(least))] = np.inf
-            # Where the costs overflow, runner_up - least is NaN and the step is not flagged.
-            tied = match.min(axis=0) - least <= ambiguity_tol * np.maximum(least, modulus[start:stop])
-            ambiguous_steps += (np.flatnonzero(tied) + start).tolist()
-            steps += (moved + start).tolist()
+            rows = parts[:, start - 1:stop]
+            top = np.abs(rows).max(axis=0, initial=1e-300)
+            scale = np.maximum(top[1:], top[:-1])
+            scale *= 8.0
+            disp = rows[:, 1:] - rows[:, :-1]
+            disp = np.abs(disp, out=disp).sum(axis=0)
+            scale += disp
+            scale *= slack
+            gaps = rows[pairs, :-1]
+            gaps = np.abs(gaps[:2 * n_pairs] - gaps[2 * n_pairs:])
+            sep = np.maximum(gaps[:n_pairs], gaps[n_pairs:]).min(axis=0)
+            sep -= disp
+            settled = sep > scale
+            undecided.append(np.logical_not(settled, out=settled).nonzero()[0] + start)
+        undecided = np.concatenate(undecided or [np.zeros(0, dtype=np.intp)])
+        steps, matchings, ambiguous_steps = [], [], []
+        for start in range(0, len(undecided), TRACK_BLOCK_STEPS):
+            block = undecided[start:start + TRACK_BLOCK_STEPS]
+            best, tied = _score_steps(raw, block, perms, ambiguity_tol)
+            moved = best != 0
+            ambiguous_steps += block[tied].tolist()
+            steps += block[moved].tolist()
             matchings += best[moved].tolist()
     # Walk the moves: each composes its matching onto the assignment before it
-    # (0 is the identity).
+    # (0 is the identity), which holds up to the next move.
     table, n_perms, taken, values = compose.tobytes(), len(perms), 0, []
     for sigma in matchings:
         taken = table[sigma * n_perms + taken]
         values.append(taken)
-    # Each row keeps the assignment of the last move at or before it.
-    taken_at, last_move = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
-    taken_at[steps], last_move[steps] = values, steps
-    np.maximum.accumulate(last_move, out=last_move)
-    tracked = np.take_along_axis(raw, perms.take(taken_at.take(last_move), axis=0), axis=1)
+    # Permuting the rows between two moves as one slice costs about 2.6 us a move;
+    # gathering every row through its assignment about 18 us plus 40 ns a row.
+    if len(steps) < 7 + n / 64:
+        tracked = raw.copy(order="K")
+        for at, until, taken in zip(steps, [*steps[1:], n], values):
+            if taken:
+                tracked[at:until] = raw[at:until, perms[taken]]
+    else:
+        taken_at = np.repeat([0, *values], np.diff([0, *steps, n]))
+        tracked = np.take_along_axis(raw, perms[taken_at], axis=1)
     return tracked, ambiguous_steps
 
 

@@ -457,12 +457,16 @@ class TestMainExitCodes:
         (["--config", "run.cfg", "--output", ""], "config error: output.path: "),
         (["--config", "run.cfg", "--output", " sp.csv"], "config error: output.path: "),
         (["--config", "run.cfg", "--output", "x #y.csv"], "config error: output.path: "),
-        # Paths whose last component, less one suffix, names a directory.
-        (["--config", "run.cfg", "--output", "."], "config error: output.path: "),
-        (["--config", "run.cfg", "--output", "./"], "config error: output.path: "),
-        (["--config", "run.cfg", "--output", ".csv"], "config error: output.path: "),
+        # Paths whose last component, less one suffix, names a directory: the message says so, as it
+        # does for the same path in a config file.
+        (["--config", "run.cfg", "--output", "."], "config error: output.path: names a directory, not a file: '.'\n"),
+        (["--config", "run.cfg", "--output", "./"], "config error: output.path: names a directory, not a file: "),
+        (["--config", "run.cfg", "--output", ".csv"],
+         "config error: output.path: names a directory, not a file: '.csv'\n"),
+        (["--config", "run.cfg", "--output", "out/"],
+         "config error: output.path: names a directory, not a file: 'out/'\n"),
     ], ids=["not-utf8", "format-xml", "unknown-flag", "missing-directory", "empty-output", "spaced-output",
-            "commented-output", "dot-output", "dot-slash-output", "bare-suffix-output"])
+            "commented-output", "dot-output", "dot-slash-output", "bare-suffix-output", "slash-output"])
     def test_bad_command_lines_are_config_errors(self, tmp_path, args, diagnostic):
         (tmp_path / "run.cfg").write_text(EIG_CONFIG.format(path="out.csv"))
         (tmp_path / "not_utf8.cfg").write_bytes(b"\xff\xfe[run]\nmode = eig-sweep\n")
@@ -503,6 +507,29 @@ class TestMainExitCodes:
         output = str(tmp_path / "out.csv")
         assert main(["--config", str(config_path), "--output", output]) == 1
         assert capsys.readouterr() == ("", f"config error: output.path: not a valid config value: {output!r}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_a_target_that_cannot_be_opened_leaves_an_earlier_pair_as_it_was(self, tmp_path, capsys):
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(EIG_CONFIG.format(path=tmp_path / "out.csv"))
+        (tmp_path / "out.csv").write_text("earlier\n")
+        (tmp_path / "out.json").mkdir()
+        assert main(["--config", str(config_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: output.path: [Errno 21] Is a directory: ")
+        assert (tmp_path / "out.csv").read_text() == "earlier\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "out.json", "run.cfg"]
+
+    def test_a_write_that_fails_leaves_no_target(self, tmp_path, capsys, monkeypatch):
+        def failing_blocks(headers, columns):
+            yield "# schema=1\n"
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("cavitymagnons.cli._csv_blocks", failing_blocks)
+        config_path = tmp_path / "run.cfg"
+        config_path.write_text(EIG_CONFIG.format(path=tmp_path / "out.csv"))
+        (tmp_path / "out.json").write_text("earlier\n")
+        assert main(["--config", str(config_path)]) == 1
+        assert capsys.readouterr() == ("", "config error: output.path: [Errno 28] No space left on device\n")
         assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("fault", [BrokenPipeError(32, "Broken pipe"),

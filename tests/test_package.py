@@ -191,10 +191,14 @@ EP_OUT_OF_BRACKET = ("from cavitymagnons.entry import run_figure_configs\n"
     ([str(REFLECTION_SCRIPT), "--outdir", "out"], ["out/reflection_lossless_s001.csv/"], 1,
      "config error: output.path: [Errno 21] Is a directory: 'out/reflection_lossless_s001.csv'\n",
      ["out/", "out/reflection_lossless_s001.csv/"]),
+    # The CSV could be written but the JSON could not: the run leaves no CSV without its sidecar.
+    ([str(REFLECTION_SCRIPT), "--outdir", "out"], ["out/reflection_lossless_s001.json/"], 1,
+     "config error: output.path: [Errno 21] Is a directory: 'out/reflection_lossless_s001.json'\n",
+     ["out/", "out/reflection_lossless_s001.json/"]),
     (["-c", EP_OUT_OF_BRACKET, "--outdir", "out"], [], 2, "numerical error: no coalescence in [1000.0, 1001.0]: ",
      ["out/"]),
 ], ids=["figs #1", " lead", "a\nb", "unknown-flag", "outdir-is-a-file", "output-is-a-directory",
-        "numerical-failure"])
+        "json-is-a-directory", "numerical-failure"])
 def test_a_script_refuses_an_outdir_the_config_grammar_cannot_carry(tmp_path, argv, made, code, stderr, left):
     for name in made:
         if name.endswith("/"):

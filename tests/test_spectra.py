@@ -79,6 +79,34 @@ def every_step_tied(n):
     return raw
 
 
+def margin_rows(k, ambiguity_tol, n):
+    """n rows of k values: a spread row w, then in turn rows whose step from w lies -16 ... 16 ulps off
+    track_branches' screening margin, each followed by w again.
+
+    w holds 0 and 1, so sep = 1, and past k = 2 values 3 off the real axis (top = 3).  The other rows
+    move 0 and 1 toward each other along the real axis, by x = 0.25 and 1 - z1, so disp = 1.25 - z1 and
+    a swap costs exactly 2 (sep - disp) more than the identity.  The margin is where sep - disp =
+    (max(ambiguity_tol, 0)/2 + 4 k eps) (disp + 8 top).
+    """
+    w = np.array([0.0, 1.0, 3j, -3j])[:k]
+    top = 1.0 if k == 2 else 3.0
+    slack = 0.5 * max(ambiguity_tol, 0.0) + 4 * k * np.finfo(float).eps
+    z1 = 1.25 - (1.0 - 8.0 * slack * top) / (1.0 + slack)
+    cycle = []
+    for ulps in range(-16, 17):
+        z = w.copy()
+        z[0], z[1] = 0.25, z1 + ulps * np.spacing(z1)
+        cycle += [w, z]
+    return np.array([cycle[i % len(cycle)] for i in range(n)])
+
+
+def scored_steps(raw, ambiguity_tol=1e-9):
+    """track_branches(raw, ambiguity_tol) and the steps that its screen left to be scored."""
+    with mock.patch.object(spectra, "_score_steps", wraps=spectra._score_steps) as score:
+        result = track_branches(raw, ambiguity_tol)
+    return result, sorted(i for call in score.call_args_list for i in call.args[1].tolist())
+
+
 def pair_gap_reference(params, s, adiabatic):
     """Gap and mean of the magnon-like pair, building and solving H(s) at each s."""
     if adiabatic:
@@ -752,7 +780,7 @@ class TestBranchTracking:
         assert np.array_equal(sweep.branches, expected)
         assert sweep.ambiguous_spans == () and expected_ambiguous == []
 
-    @pytest.mark.parametrize("walk", ["random", "smooth", "tied"])
+    @pytest.mark.parametrize("walk", ["random", "smooth", "tied", "margin"])
     def test_a_window_tracks_as_the_whole_sweep(self, walk):
         # A step's matching and flag depend only on its two rows, so tracking
         # raw[a:b] gives the whole sweep's rows a ... b - 1 up to one column
@@ -765,8 +793,10 @@ class TestBranchTracking:
         elif walk == "smooth":
             raw = np.cumsum(0.01 * clouds, axis=0)
             raw[::10, 1] = raw[::10, 0]
-        else:
+        elif walk == "tied":
             raw = every_step_tied(n)
+        else:
+            raw = margin_rows(3, 1e-9, n)
         whole, whole_ambiguous = track_branches(raw)
         for a, b in [(0, n), (1, n), (5, 40), (TRACK_BLOCK_STEPS - 2, n), (300, 2 * TRACK_BLOCK_STEPS + 1)]:
             window, ambiguous = track_branches(raw[a:b])
@@ -782,6 +812,110 @@ class TestBranchTracking:
         expected, expected_ambiguous = track_branches_reference(raw)
         assert np.array_equal(tracked, expected)
         assert ambiguous == expected_ambiguous == [2, 3]
+
+    @pytest.mark.parametrize("ambiguity_tol", [1e-9, 0.0])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_steps_at_the_screen_margin_match_per_step_reference(self, k, ambiguity_tol):
+        # Steps a few ulps either side of the margin: the screen settles some and leaves the
+        # rest, and either way the result is the scored one.
+        raw = margin_rows(k, ambiguity_tol, 2 * TRACK_BLOCK_STEPS + 3)
+        (tracked, ambiguous), scored = scored_steps(raw, ambiguity_tol)
+        expected, expected_ambiguous = track_branches_reference(raw, ambiguity_tol)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous
+        onto_margin = [i for i in scored if i % 2]
+        assert 0 < len(onto_margin) < len(raw) // 2
+
+    @pytest.mark.parametrize("ambiguity_tol", [1e-9, 0.0])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_a_coalescence_that_rounds_below_sep_matches_per_step_reference(self, k, ambiguity_tol):
+        # -3 and 0.7 meet at -0.6: swap and identity cost the same, and the computed displacement
+        # 2.4 + 1.3 rounds 4.4e-16 below sep = 3.7.  Only the screen's rounding slack keeps it from
+        # settling the tie as an unflagged identity.
+        far = np.array([5j, -5j])[:k - 2]
+        raw = np.array([[-3.0, 0.7, *far], [-0.6, -0.6, *far]] * (TRACK_BLOCK_STEPS + 1))
+        assert abs(-0.6 + 3.0) + abs(-0.6 - 0.7) < 3.7
+        tracked, ambiguous = track_branches(raw, ambiguity_tol)
+        expected, expected_ambiguous = track_branches_reference(raw, ambiguity_tol)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous
+        assert set(range(1, len(raw), 2)) <= set(ambiguous)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_a_coalescence_at_row_i_minus_1_only_matches_per_step_reference(self, k):
+        far = np.array([5j, -5j])[:k - 2]
+        raw = np.array([[0.2, 0.2, *far], [0.201, 0.199, *far], [0.2, 0.2, *far]] * (TRACK_BLOCK_STEPS // 2 + 1))
+        tracked, ambiguous = track_branches(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous
+        # The step out of each coalesced row ties and is flagged.
+        assert set(range(1, len(raw), 3)) <= set(ambiguous)
+
+    def test_the_screen_reads_the_separation_of_row_i_minus_1(self):
+        # Spread rows (sep 1) alternate with crowded ones (sep 0.1), each step displacing 0.9:
+        # out of a spread row the bound settles the step, out of a crowded row it cannot.
+        spread, crowded = [0.0, 1.0, 2.0], [0.45, 0.55, 2.0]
+        n = 2 * TRACK_BLOCK_STEPS + 3
+        raw = np.array([spread, crowded] * (n // 2) + [spread], dtype=complex)
+        (tracked, ambiguous), scored = scored_steps(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous == []
+        assert scored == list(range(2, n, 2))
+
+    @pytest.mark.parametrize("params,half_width", [
+        (SystemParams(kappa=1, gamma1=1, gamma2=1, g1=2, g2=2), 6.0),
+        (SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0.2, g2=0.2), 0.2),
+        (SystemParams(kappa=1, gamma1=0.05, gamma2=0.2, g1=0.9, g2=0.4), 3.0),
+    ], ids=["strong", "bad-cavity", "asymmetric"])
+    @pytest.mark.parametrize("adiabatic", [False, True])
+    def test_the_screen_leaves_few_steps_of_a_sweep_to_score(self, params, half_width, adiabatic):
+        s_values = np.linspace(-half_width, half_width, 4001)
+        raw = (_pair_roots if adiabatic else _cubic_roots)(params, s_values)
+        (tracked, ambiguous), scored = scored_steps(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous
+        assert len(scored) <= 8
+
+    def test_a_tolerance_product_that_overflows_is_scored(self):
+        # The scored flag compares with 1.9 * |raw[i]| = inf, so the unmoving step is flagged;
+        # the screen's 8 top overflows first and leaves it to be scored.
+        row = [-8e307 * (1 + 1j), 8e307 * (1 + 1j)]
+        raw = np.array([row] * 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tracked, ambiguous = track_branches(raw, 1.9)
+            expected, expected_ambiguous = track_branches_reference(raw, 1.9)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous == [1, 2]
+
+    @pytest.mark.parametrize("ambiguity_tol", [1e-9, 0.0, -1.0, math.nan, 1.9])
+    @pytest.mark.parametrize("walk", ["sweep", "random", "tied", "margin", "subnormal", "non-finite"])
+    def test_any_tolerance_matches_per_step_reference(self, walk, ambiguity_tol):
+        n = 2 * TRACK_BLOCK_STEPS + 1
+        spread_crowded = np.array([[0.0, 1.0, 2.0], [0.45, 0.55, 2.0]] * (n // 2) + [[0.0, 1.0, 2.0]], dtype=complex)
+        if walk == "subnormal":
+            # Costs near 1e-311, below the 1e-300 floor of the flag's scale.
+            raw = 1e-310 * spread_crowded
+        elif walk == "non-finite":
+            raw = spread_crowded
+            raw[5::7, 0], raw[9::11, 1], raw[13::17] = np.nan, np.inf, -np.inf * 1j
+        elif walk == "sweep":
+            raw = _cubic_roots(SystemParams(kappa=1, gamma1=0.01, gamma2=0.01, g1=0.2, g2=0.2),
+                               np.linspace(-0.2, 0.2, n))
+        elif walk == "random":
+            rng = np.random.default_rng(11)
+            raw = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        elif walk == "tied":
+            raw = every_step_tied(n)
+        else:
+            raw = margin_rows(3, ambiguity_tol if ambiguity_tol > 0 else 0.0, n)
+        with np.errstate(invalid="ignore"):
+            tracked, ambiguous = track_branches(raw, ambiguity_tol)
+            expected, expected_ambiguous = track_branches_reference(raw, ambiguity_tol)
+        assert np.array_equal(tracked, expected, equal_nan=True)
+        assert ambiguous == expected_ambiguous
 
     def test_near_tie_matches_per_step_reference(self):
         # The two assignments cost the same up to rounding, so the choice

@@ -2,14 +2,17 @@
 """Run the scripts and a fixed set of CLI configs on two checkouts and compare the outputs.
 
 Each side (PARENT_DIR, and the checkout holding this file) runs the three
-`scripts/*.py` with `--outdir out` and nine CLI configs that write to
+`scripts/*.py` with `--outdir out` and eleven CLI configs that write to
 `out/<name>.csv`, in a fresh temporary directory, with that side's `src` on
-PYTHONPATH.  The nine configs cover every mode: eig-sweep (plain and with
-`[si]`), response-sweep, reflection-sweep, ep-find (adiabatic and full),
-adiabatic-compare, and dynamics (plain, and with a power/frequency drive
-plus `[si]`).  One more run gives the reflection-sweep config
-`--output out/reflection_override.csv --format csv`, so the command-line
-override route is compared too.
+PYTHONPATH.  The eleven configs cover every mode: eig-sweep (plain, with
+`[si]`, and at 4001 points), response-sweep, reflection-sweep, ep-find
+(adiabatic and full), adiabatic-compare (plain, and at 4001 points on an
+asymmetric strong-coupling system), and dynamics (plain, and with a
+power/frequency drive plus `[si]`).  The 4001-point sweeps span several of
+the branch tracker's blocks, and their Cardano roots switch branches, which
+the tracker must undo with matchings off the identity.  One more run gives
+the reflection-sweep config `--output out/reflection_override.csv --format
+csv`, so the command-line override route is compared too.
 
 The two sides' exit codes, stdout, stderr, file names and file bytes are
 compared.  For each CSV that differs, the max abs and max rel diff of each
@@ -40,7 +43,10 @@ CONFIGS = {
                         "[sweep]\nvariable = delta\nmin = -0.3\nmax = 0.3\npoints = 1201\n",
     "ep_find_adiabatic": EP,
     "ep_find_full": EP + "[ep]\nmodel = full\n",
+    "eig_sweep_4001": "[run]\nmode = eig-sweep\n" + S_SWEEP.replace("481", "4001"),
     "adiabatic_compare": "[run]\nmode = adiabatic-compare\n" + S_SWEEP,
+    "adiabatic_compare_asymmetric": "[run]\nmode = adiabatic-compare\n[system]\ngamma1 = 0.05\ngamma2 = 0.2\n"
+                                    "g1 = 0.9\ng2 = 0.4\n[sweep]\nvariable = s\nmin = -3\nmax = 3\npoints = 4001\n",
     "dynamics": "[run]\nmode = dynamics\n[system]\ns = 0.06\n[drive]\namplitude = 1\n",
     "dynamics_power_si": "[run]\nmode = dynamics\n[system]\ns = 0.06\n[drive]\npower = 1e-20\n"
                          "frequency = 6.283e10\n[dynamics]\nt_end = 200\ndelta = 0.01\n[si]\nkappa_hz = 1e6\n",
