@@ -22,17 +22,10 @@ equation to a residual |det(lambda I - H)| <= 1e-9 ||H||^3, which the tests
 check alongside LAPACK, companion-matrix and closed-form oracles.
 
 Branch tracking matches consecutive sweep points by least summed
-displacement.  A step's cost is that of a matching of raw slots, summed in
-slot order, so its best matching and its flag depend only on its two rows.
-Any matching other than the identity moves two slots, so by the triangle
-inequality it costs at least 2 (sep - disp) more, sep being row i - 1's
-least pairwise separation and disp the identity's displacement; where that
-margin clears the flag tolerance and the rounding of the costs, the step is
-settled as the identity without scoring.  On smooth sweeps that is all but
-2 to 4 steps a sweep.  The rest score their k! matchings with array
-operations, and a walk over the steps that move off the identity composes
-them.  At 4001 points tracking takes about 0.35 ms (full model) and 0.27 ms
-(reduced), where scoring every step took about 0.85 and 0.52 ms.
+displacement, so a step's matching and flag depend only on its two rows.
+A bound, derived in track_branches, settles all but 2 to 4 steps of a
+smooth sweep as the identity without scoring the k! matchings.  At 4001
+points tracking takes about 0.35 ms (full model) and 0.27 ms (reduced).
 
 An exceptional point is a double eigenvalue, so the search takes the lowest
 real root in its bracket of the discriminant of the characteristic polynomial
@@ -419,8 +412,7 @@ def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.nda
     each of the benchmark's sweeps) is scored with array operations.  Both
     run TRACK_BLOCK_STEPS steps at a time.  A walk over the steps that move
     off the identity composes their matchings, and the rows between two
-    moves are permuted as one slice, or where moves are many each row is
-    gathered through its assignment.  A single branch needs no matching and
+    moves are permuted as one slice.  A single branch needs no matching and
     comes back unchanged.
     """
     raw = np.asarray(raw, dtype=complex)
@@ -461,21 +453,13 @@ def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.nda
             steps += block[moved].tolist()
             matchings += best[moved].tolist()
     # Walk the moves: each composes its matching onto the assignment before it
-    # (0 is the identity), which holds up to the next move.
-    table, n_perms, taken, values = compose.tobytes(), len(perms), 0, []
-    for sigma in matchings:
+    # (0 is the identity), which holds, as one slice, up to the next move.
+    table, n_perms, taken = compose.tobytes(), len(perms), 0
+    tracked = raw.copy(order="K")
+    for at, until, sigma in zip(steps, [*steps[1:], n], matchings):
         taken = table[sigma * n_perms + taken]
-        values.append(taken)
-    # Permuting the rows between two moves as one slice costs about 2.6 us a move;
-    # gathering every row through its assignment about 18 us plus 40 ns a row.
-    if len(steps) < 7 + n / 64:
-        tracked = raw.copy(order="K")
-        for at, until, taken in zip(steps, [*steps[1:], n], values):
-            if taken:
-                tracked[at:until] = raw[at:until, perms[taken]]
-    else:
-        taken_at = np.repeat([0, *values], np.diff([0, *steps, n]))
-        tracked = np.take_along_axis(raw, perms[taken_at], axis=1)
+        if taken:
+            tracked[at:until] = raw[at:until, perms[taken]]
     return tracked, ambiguous_steps
 
 
