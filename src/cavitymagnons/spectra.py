@@ -24,8 +24,9 @@ check alongside LAPACK, companion-matrix and closed-form oracles.
 Branch tracking matches consecutive sweep points by least summed
 displacement, so a step's matching and flag depend only on its two rows.
 A bound, derived in track_branches, settles all but 2 to 4 steps of a
-smooth sweep as the identity without scoring the k! matchings.  At 4001
-points tracking takes about 0.35 ms (full model) and 0.27 ms (reduced).
+smooth sweep as the identity; each step left is scored on its own over its
+k! matchings.  At 4001 points tracking takes about TFULL ms (full model) and
+TRED ms (reduced).
 
 An exceptional point is a double eigenvalue, so the search takes the lowest
 real root in its bracket of the discriminant of the characteristic polynomial
@@ -55,8 +56,10 @@ from .model import SystemParams, _dressed_rates, build_full_hamiltonian
 # A pair of eigenvalues closer than this (in kappa units) counts as coalesced,
 # and a discriminant root this close to the real axis (in kappa units) counts as real.
 EP_GAP_TOLERANCE = 1e-6
-# Sweep steps that track_branches screens, and then scores, per pass; bounds its
-# (2k, block) screen temporaries, (k, k, block) distances and (k!, block) scores.
+# A step whose runner-up matching costs at most this much more than the best,
+# relative to max(best, max |raw[i]|), is flagged as coalesced by track_branches.
+AMBIGUITY_TOL = 1e-9
+# Sweep steps that track_branches screens per pass; bounds its (2k, block) temporaries.
 TRACK_BLOCK_STEPS = 512
 # Matrices that the closed-form root kernels take per pass; bounds their
 # (k, block) temporaries to about 1 MB, which also keeps them in cache.
@@ -319,18 +322,11 @@ def _scaled_pair_roots(s, gt1, gt2, rate, gamma1, gamma2, h1, h2) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _matching_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k! permutations of range(k) (k!, k) in lexicographic order, and their compose table.
-
-    compose[sigma, q] is the index of the assignment sigma o q, i.e. q followed
-    by the matching sigma.  Built once per k and read-only.
-    """
+def _permutations(k: int) -> np.ndarray:
+    """The k! permutations of range(k) (k!, k) in lexicographic order, the identity first; read-only."""
     perms = np.array(list(itertools.permutations(range(k))))
-    index = {perm: i for i, perm in enumerate(map(tuple, perms))}
-    compose = np.array([[index[tuple(sigma[q])] for q in perms] for sigma in perms], dtype=np.uint8)
     perms.setflags(write=False)
-    compose.setflags(write=False)
-    return perms, compose
+    return perms
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,43 +343,30 @@ def _slot_pairs(k: int) -> np.ndarray:
     return rows
 
 
-def _score_steps(raw, steps, perms, ambiguity_tol):
-    """Score the k! matchings of each given step (m,) of raw (n, k).
-
-    Returns the steps' best matchings (m,), the identity (0) on ties, and a
-    mask (m,) of the steps whose runner-up costs at most ambiguity_tol *
-    max(best, max |raw[i]|) more.  Each step's values come from its own two
-    rows alone.
-    """
-    k = raw.shape[1]
-    current = raw.T.take(steps, axis=1)  # (k, m), contiguous along the steps
-    step = current[:, None] - raw.T.take(steps - 1, axis=1)[None, :]
-    # dist[a, b, i] = |raw[i, a] - raw[i - 1, b]|; hypot, like abs() of a
-    # complex scalar, keeps the costs bitwise equal to per-step scoring.
+def _score_step(raw, i, perms):
+    """Index in perms of step i's best matching, 0 (the identity) on ties, and its flag; see track_branches."""
+    step = raw[i][:, None] - raw[i - 1][None, :]
+    # dist[a, b] = |raw[i, a] - raw[i - 1, b]| by hypot, rounded as abs() of a complex scalar.
     dist = np.hypot(step.real, step.imag)
-    # match[sigma, i] = sum over b of dist[sigma[b], b, i], summed in b order.
-    match = dist[perms[:, 0], 0]
-    for b in range(1, k):
-        match = match + dist[perms[:, b], b]
-    least = match.min(axis=0)
-    moved = np.flatnonzero(match[0] != least)  # ties prefer the identity, matching 0
-    best = np.zeros(len(least), dtype=np.intp)
-    best[moved] = match[:, moved].argmin(axis=0)
-    match[best, np.arange(len(least))] = np.inf
-    modulus = np.maximum(np.abs(current).max(axis=0), 1e-300)  # largest |raw[i]|
+    cost = dist[perms[:, 0], 0]
+    for b in range(1, raw.shape[1]):
+        cost += dist[perms[:, b], b]
+    best = int(cost.argmin())  # the first least cost, so ties keep the identity; or the first NaN
+    least = cost[best]
+    cost[best] = np.inf
+    modulus = np.abs(raw[i]).max(initial=1e-300)
     # Where the costs overflow, runner_up - least is NaN and the step is not flagged.
-    tied = match.min(axis=0) - least <= ambiguity_tol * np.maximum(least, modulus)
-    return best, tied
+    return best, bool(cost.min() - least <= AMBIGUITY_TOL * np.maximum(least, modulus))
 
 
-def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.ndarray, list[int]]:
+def track_branches(raw: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Assign raw eigenvalues (n, k) to persistent branches by nearest matching.
 
     Each step i takes, of the k! matchings sigma of raw slots (slot b at row
     i - 1 going to slot sigma[b] at row i), the one of least summed
     complex-plane displacement sum_b |raw[i, sigma[b]] - raw[i - 1, b]|,
     summed in slot order b = 0 ... k - 1 (ties prefer the identity).  Steps
-    whose runner-up costs at most ambiguity_tol * max(best, max |raw[i]|)
+    whose runner-up costs at most AMBIGUITY_TOL * max(best, max |raw[i]|)
     more are reported: there the branches are coalesced and either matching
     is valid.  So a step's matching and flag depend only on rows i - 1 and i,
     and the branches follow the composed matchings.
@@ -397,33 +380,35 @@ def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.nda
     least 2 (sep - disp) more than the identity.  A step is the identity and
     is not flagged where
 
-        sep - disp > (max(ambiguity_tol, 0)/2 + 4 k eps) (disp + 8 top),
+        sep - disp > (AMBIGUITY_TOL/2 + 4 k eps) (disp + 8 top),
 
     top being the largest |Re| or |Im| on rows i - 1 and i, at least 1e-300.
-    The tolerance part covers tol * max(best, max |raw[i]|), as max(best,
-    max |raw[i]|) <= disp + 1.5 top.  The 4 k eps part covers rounding: each
-    computed cost, a sum in slot order of k hypots of rounded differences, is
-    within (k + 2) eps/2 of the exact one relative, disp within (2k + 1)
-    eps/2 and sep within eps/2, and a subnormal difference's absolute error
-    is far below eps * 1e-300.  NaN and inf values and a NaN tolerance never
-    pass, nor do values past 2.2e307, where 8 top overflows: the scored costs
-    and the tolerance product may overflow there.  So the screen decides no step
-    that scoring would decide otherwise, and what it leaves (2 to 4 steps in
-    each of the benchmark's sweeps) is scored with array operations.  Both
-    run TRACK_BLOCK_STEPS steps at a time.  A walk over the steps that move
-    off the identity composes their matchings, and the rows between two
-    moves are permuted as one slice.  A single branch needs no matching and
-    comes back unchanged.
+    The tolerance part covers AMBIGUITY_TOL * max(best, max |raw[i]|), as
+    max(best, max |raw[i]|) <= disp + 1.5 top.  The 4 k eps part covers
+    rounding: each computed cost, a sum in slot order of k hypots of rounded
+    differences, is within (k + 2) eps/2 of the exact one relative, disp
+    within (2k + 1) eps/2 and sep within eps/2, and a subnormal difference's
+    absolute error is far below eps * 1e-300.  NaN and inf values never pass,
+    nor do values past 2.2e307, where 8 top overflows and the scored costs
+    may too.  So the screen decides no step that scoring would decide
+    otherwise.  It runs TRACK_BLOCK_STEPS steps at a time, and each step it
+    leaves (2 to 4 in each of the benchmark's sweeps) is scored on its own by
+    _score_step.  The steps that move off the identity compose their
+    matchings, and the rows between two moves are permuted as one slice.
+    A single branch needs no matching and comes back unchanged.
     """
     raw = np.asarray(raw, dtype=complex)
     n, k = raw.shape
     if k == 1:
         return raw.copy(), []
-    perms, compose = _matching_tables(k)
+    perms = _permutations(k)
     pairs, n_pairs = _slot_pairs(k), k * (k - 1) // 2
     parts = np.concatenate((raw.real.T, raw.imag.T))  # (2k, n), each part contiguous along the sweep
-    slack = 0.5 * max(ambiguity_tol, 0.0) + 4 * k * _EPS  # NaN stays NaN
-    undecided = []
+    slack = 0.5 * AMBIGUITY_TOL + 4 * k * _EPS
+    ambiguous_steps = []
+    # Each move composes its matching onto the assignment taken, which holds
+    # from row at up to the next move: one slice each, none before the first.
+    tracked, at, taken = raw.copy(order="K"), n, perms[0]
     # Displacements and moduli of values near the float limit overflow to inf;
     # such costs still order the matchings, and the screen passes no such step.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -442,24 +427,14 @@ def track_branches(raw: np.ndarray, ambiguity_tol: float = 1e-9) -> tuple[np.nda
             sep = np.maximum(gaps[:n_pairs], gaps[n_pairs:]).min(axis=0)
             sep -= disp
             settled = sep > scale
-            undecided.append(np.logical_not(settled, out=settled).nonzero()[0] + start)
-        undecided = np.concatenate(undecided or [np.zeros(0, dtype=np.intp)])
-        steps, matchings, ambiguous_steps = [], [], []
-        for start in range(0, len(undecided), TRACK_BLOCK_STEPS):
-            block = undecided[start:start + TRACK_BLOCK_STEPS]
-            best, tied = _score_steps(raw, block, perms, ambiguity_tol)
-            moved = best != 0
-            ambiguous_steps += block[tied].tolist()
-            steps += block[moved].tolist()
-            matchings += best[moved].tolist()
-    # Walk the moves: each composes its matching onto the assignment before it
-    # (0 is the identity), which holds, as one slice, up to the next move.
-    table, n_perms, taken = compose.tobytes(), len(perms), 0
-    tracked = raw.copy(order="K")
-    for at, until, sigma in zip(steps, [*steps[1:], n], matchings):
-        taken = table[sigma * n_perms + taken]
-        if taken:
-            tracked[at:until] = raw[at:until, perms[taken]]
+            for i in (np.logical_not(settled, out=settled).nonzero()[0] + start).tolist():
+                best, tied = _score_step(raw, i, perms)
+                if tied:
+                    ambiguous_steps.append(i)
+                if best:
+                    tracked[at:i] = raw[at:i, taken]
+                    at, taken = i, perms[best][taken]
+    tracked[at:] = raw[at:, taken]
     return tracked, ambiguous_steps
 
 

@@ -21,6 +21,7 @@ from cavitymagnons import spectra
 from cavitymagnons.closed_forms import adiabatic_eigenvalues, closed_form_symmetric, weak_coupling_approx
 from cavitymagnons.model import SystemParams, build_adiabatic_model, build_full_hamiltonian
 from cavitymagnons.spectra import (
+    AMBIGUITY_TOL,
     EP_GAP_TOLERANCE,
     ROOT_BLOCK_ROWS,
     TRACK_BLOCK_STEPS,
@@ -79,18 +80,18 @@ def every_step_tied(n):
     return raw
 
 
-def margin_rows(k, ambiguity_tol, n):
+def margin_rows(k, n):
     """n rows of k values: a spread row w, then in turn rows whose step from w lies -16 ... 16 ulps off
     track_branches' screening margin, each followed by w again.
 
     w holds 0 and 1, so sep = 1, and past k = 2 values 3 off the real axis (top = 3).  The other rows
     move 0 and 1 toward each other along the real axis, by x = 0.25 and 1 - z1, so disp = 1.25 - z1 and
     a swap costs exactly 2 (sep - disp) more than the identity.  The margin is where sep - disp =
-    (max(ambiguity_tol, 0)/2 + 4 k eps) (disp + 8 top).
+    (AMBIGUITY_TOL/2 + 4 k eps) (disp + 8 top).
     """
     w = np.array([0.0, 1.0, 3j, -3j])[:k]
     top = 1.0 if k == 2 else 3.0
-    slack = 0.5 * max(ambiguity_tol, 0.0) + 4 * k * np.finfo(float).eps
+    slack = 0.5 * AMBIGUITY_TOL + 4 * k * np.finfo(float).eps
     z1 = 1.25 - (1.0 - 8.0 * slack * top) / (1.0 + slack)
     cycle = []
     for ulps in range(-16, 17):
@@ -100,11 +101,11 @@ def margin_rows(k, ambiguity_tol, n):
     return np.array([cycle[i % len(cycle)] for i in range(n)])
 
 
-def scored_steps(raw, ambiguity_tol=1e-9):
-    """track_branches(raw, ambiguity_tol) and the steps that its screen left to be scored."""
-    with mock.patch.object(spectra, "_score_steps", wraps=spectra._score_steps) as score:
-        result = track_branches(raw, ambiguity_tol)
-    return result, sorted(i for call in score.call_args_list for i in call.args[1].tolist())
+def scored_steps(raw):
+    """track_branches(raw) and the steps that its screen left to be scored."""
+    with mock.patch.object(spectra, "_score_step", wraps=spectra._score_step) as score:
+        result = track_branches(raw)
+    return result, sorted(call.args[1] for call in score.call_args_list)
 
 
 def pair_gap_reference(params, s, adiabatic):
@@ -711,10 +712,9 @@ class TestBranchTracking:
         # unchanged distinct rows are not.
         assert ambiguous == sorted({i for c in coalesced for i in (c, c + 1) if i < n})
 
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(BLOCK_EDGE_SIZES),
-           st.sampled_from([1e-9, 0.0]))
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from(BLOCK_EDGE_SIZES))
     @settings(max_examples=20, deadline=None)
-    def test_four_branch_walks_match_per_step_reference(self, seed, n, ambiguity_tol):
+    def test_four_branch_walks_match_per_step_reference(self, seed, n):
         # k = 4: 24 matchings per step.  Half the draws are smooth walks with
         # an exact coalescence every tenth row, half unstructured clouds.
         rng = np.random.default_rng(seed)
@@ -724,33 +724,18 @@ class TestBranchTracking:
         else:
             raw = np.cumsum(0.01 * steps, axis=0)
             raw[::10, 1] = raw[::10, 0]
-        tracked, ambiguous = track_branches(raw, ambiguity_tol)
-        expected, expected_ambiguous = track_branches_reference(raw, ambiguity_tol)
+        tracked, ambiguous = track_branches(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
         assert np.array_equal(tracked, expected)
         assert ambiguous == expected_ambiguous
 
-    @given(params_strategy, st.sampled_from(BLOCK_EDGE_SIZES), st.booleans())
-    @settings(max_examples=20, deadline=None)
-    def test_zero_tolerance_matches_per_step_reference(self, params, n, adiabatic):
-        # ambiguity_tol = 0 flags only steps whose best and runner-up tie exactly.
-        s_values = np.linspace(-3.0, 3.0, n)
-        if adiabatic:
-            raw = _pair_roots(params, s_values)
-        else:
-            raw = _cubic_roots(params, s_values)
-        tracked, ambiguous = track_branches(raw, 0.0)
-        expected, expected_ambiguous = track_branches_reference(raw, 0.0)
-        assert np.array_equal(tracked, expected)
-        assert ambiguous == expected_ambiguous
-
-    @pytest.mark.parametrize("ambiguity_tol", [1e-9, 0.0])
-    def test_every_step_tied_across_block_edges(self, ambiguity_tol):
+    def test_every_step_tied_across_block_edges(self):
         # Rows alternate between two distinct values and an exact coalescence,
         # so every step is tied, in every block.
         n = 2 * TRACK_BLOCK_STEPS + 3
         raw = every_step_tied(n)
-        tracked, ambiguous = track_branches(raw, ambiguity_tol)
-        expected, expected_ambiguous = track_branches_reference(raw, ambiguity_tol)
+        tracked, ambiguous = track_branches(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
         assert np.array_equal(tracked, expected)
         assert ambiguous == expected_ambiguous == list(range(1, n))
 
@@ -796,7 +781,7 @@ class TestBranchTracking:
         elif walk == "tied":
             raw = every_step_tied(n)
         else:
-            raw = margin_rows(3, 1e-9, n)
+            raw = margin_rows(3, n)
         whole, whole_ambiguous = track_branches(raw)
         for a, b in [(0, n), (1, n), (5, 40), (TRACK_BLOCK_STEPS - 2, n), (300, 2 * TRACK_BLOCK_STEPS + 1)]:
             window, ambiguous = track_branches(raw[a:b])
@@ -813,30 +798,28 @@ class TestBranchTracking:
         assert np.array_equal(tracked, expected)
         assert ambiguous == expected_ambiguous == [2, 3]
 
-    @pytest.mark.parametrize("ambiguity_tol", [1e-9, 0.0])
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_steps_at_the_screen_margin_match_per_step_reference(self, k, ambiguity_tol):
+    def test_steps_at_the_screen_margin_match_per_step_reference(self, k):
         # Steps a few ulps either side of the margin: the screen settles some and leaves the
         # rest, and either way the result is the scored one.
-        raw = margin_rows(k, ambiguity_tol, 2 * TRACK_BLOCK_STEPS + 3)
-        (tracked, ambiguous), scored = scored_steps(raw, ambiguity_tol)
-        expected, expected_ambiguous = track_branches_reference(raw, ambiguity_tol)
+        raw = margin_rows(k, 2 * TRACK_BLOCK_STEPS + 3)
+        (tracked, ambiguous), scored = scored_steps(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
         assert np.array_equal(tracked, expected)
         assert ambiguous == expected_ambiguous
         onto_margin = [i for i in scored if i % 2]
         assert 0 < len(onto_margin) < len(raw) // 2
 
-    @pytest.mark.parametrize("ambiguity_tol", [1e-9, 0.0])
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_a_coalescence_that_rounds_below_sep_matches_per_step_reference(self, k, ambiguity_tol):
+    def test_a_coalescence_that_rounds_below_sep_matches_per_step_reference(self, k):
         # -3 and 0.7 meet at -0.6: swap and identity cost the same, and the computed displacement
         # 2.4 + 1.3 rounds 4.4e-16 below sep = 3.7.  Only the screen's rounding slack keeps it from
         # settling the tie as an unflagged identity.
         far = np.array([5j, -5j])[:k - 2]
         raw = np.array([[-3.0, 0.7, *far], [-0.6, -0.6, *far]] * (TRACK_BLOCK_STEPS + 1))
         assert abs(-0.6 + 3.0) + abs(-0.6 - 0.7) < 3.7
-        tracked, ambiguous = track_branches(raw, ambiguity_tol)
-        expected, expected_ambiguous = track_branches_reference(raw, ambiguity_tol)
+        tracked, ambiguous = track_branches(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
         assert np.array_equal(tracked, expected)
         assert ambiguous == expected_ambiguous
         assert set(range(1, len(raw), 2)) <= set(ambiguous)
@@ -879,20 +862,8 @@ class TestBranchTracking:
         assert ambiguous == expected_ambiguous
         assert len(scored) <= 8
 
-    def test_a_tolerance_product_that_overflows_is_scored(self):
-        # The scored flag compares with 1.9 * |raw[i]| = inf, so the unmoving step is flagged;
-        # the screen's 8 top overflows first and leaves it to be scored.
-        row = [-8e307 * (1 + 1j), 8e307 * (1 + 1j)]
-        raw = np.array([row] * 3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            tracked, ambiguous = track_branches(raw, 1.9)
-            expected, expected_ambiguous = track_branches_reference(raw, 1.9)
-        assert np.array_equal(tracked, expected)
-        assert ambiguous == expected_ambiguous == [1, 2]
-
-    @pytest.mark.parametrize("ambiguity_tol", [1e-9, 0.0, -1.0, math.nan, 1.9])
     @pytest.mark.parametrize("walk", ["sweep", "random", "tied", "margin", "subnormal", "non-finite"])
-    def test_any_tolerance_matches_per_step_reference(self, walk, ambiguity_tol):
+    def test_walks_across_block_edges_match_per_step_reference(self, walk):
         n = 2 * TRACK_BLOCK_STEPS + 1
         spread_crowded = np.array([[0.0, 1.0, 2.0], [0.45, 0.55, 2.0]] * (n // 2) + [[0.0, 1.0, 2.0]], dtype=complex)
         if walk == "subnormal":
@@ -910,10 +881,10 @@ class TestBranchTracking:
         elif walk == "tied":
             raw = every_step_tied(n)
         else:
-            raw = margin_rows(3, ambiguity_tol if ambiguity_tol > 0 else 0.0, n)
+            raw = margin_rows(3, n)
         with np.errstate(invalid="ignore"):
-            tracked, ambiguous = track_branches(raw, ambiguity_tol)
-            expected, expected_ambiguous = track_branches_reference(raw, ambiguity_tol)
+            tracked, ambiguous = track_branches(raw)
+            expected, expected_ambiguous = track_branches_reference(raw)
         assert np.array_equal(tracked, expected, equal_nan=True)
         assert ambiguous == expected_ambiguous
 
@@ -930,10 +901,11 @@ class TestBranchTracking:
         assert ambiguous == expected_ambiguous
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_matching_tables_are_built_once_and_read_only(self, k):
-        perms, compose = spectra._matching_tables(k)
-        assert spectra._matching_tables(k)[0] is perms
-        assert not perms.flags.writeable and not compose.flags.writeable
+    def test_permutations_are_built_once_read_only_and_identity_first(self, k):
+        perms = spectra._permutations(k)
+        assert spectra._permutations(k) is perms
+        assert not perms.flags.writeable
+        assert perms[0].tolist() == list(range(k))
         assert perms.tolist() == [list(p) for p in itertools.permutations(range(k))]
 
     @pytest.mark.parametrize("n", [1, 2, TRACK_BLOCK_STEPS + 1])
