@@ -729,11 +729,26 @@ class TestBranchTracking:
         assert np.array_equal(tracked, expected)
         assert ambiguous == expected_ambiguous
 
-    def test_every_step_tied_across_block_edges(self):
+    @given(params_strategy, st.sampled_from(BLOCK_EDGE_SIZES), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_the_package_roots_match_per_step_reference(self, params, n, adiabatic):
+        # The rows that sweep_eigenvalues tracks: _pair_roots and _cubic_roots, not LAPACK's.
+        s_values = np.linspace(-3.0, 3.0, n)
+        if adiabatic:
+            raw = _pair_roots(params, s_values)
+        else:
+            raw = _cubic_roots(params, s_values)
+        tracked, ambiguous = track_branches(raw)
+        expected, expected_ambiguous = track_branches_reference(raw)
+        assert np.array_equal(tracked, expected)
+        assert ambiguous == expected_ambiguous
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -600])
+    def test_every_step_tied_across_block_edges(self, scale):
         # Rows alternate between two distinct values and an exact coalescence,
-        # so every step is tied, in every block.
+        # so every step is tied, in every block, at any scale.
         n = 2 * TRACK_BLOCK_STEPS + 3
-        raw = every_step_tied(n)
+        raw = scale * every_step_tied(n)
         tracked, ambiguous = track_branches(raw)
         expected, expected_ambiguous = track_branches_reference(raw)
         assert np.array_equal(tracked, expected)
@@ -798,11 +813,13 @@ class TestBranchTracking:
         assert np.array_equal(tracked, expected)
         assert ambiguous == expected_ambiguous == [2, 3]
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -600])
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_steps_at_the_screen_margin_match_per_step_reference(self, k):
+    def test_steps_at_the_screen_margin_match_per_step_reference(self, k, scale):
         # Steps a few ulps either side of the margin: the screen settles some and leaves the
-        # rest, and either way the result is the scored one.
-        raw = margin_rows(k, 2 * TRACK_BLOCK_STEPS + 3)
+        # rest, and either way the result is the scored one.  The margin is relative, so a
+        # power-of-two scale moves no step across it.
+        raw = scale * margin_rows(k, 2 * TRACK_BLOCK_STEPS + 3)
         (tracked, ambiguous), scored = scored_steps(raw)
         expected, expected_ambiguous = track_branches_reference(raw)
         assert np.array_equal(tracked, expected)
@@ -810,13 +827,14 @@ class TestBranchTracking:
         onto_margin = [i for i in scored if i % 2]
         assert 0 < len(onto_margin) < len(raw) // 2
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -600])
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_a_coalescence_that_rounds_below_sep_matches_per_step_reference(self, k):
+    def test_a_coalescence_that_rounds_below_sep_matches_per_step_reference(self, k, scale):
         # -3 and 0.7 meet at -0.6: swap and identity cost the same, and the computed displacement
         # 2.4 + 1.3 rounds 4.4e-16 below sep = 3.7.  Only the screen's rounding slack keeps it from
-        # settling the tie as an unflagged identity.
+        # settling the tie as an unflagged identity, at any power-of-two scale.
         far = np.array([5j, -5j])[:k - 2]
-        raw = np.array([[-3.0, 0.7, *far], [-0.6, -0.6, *far]] * (TRACK_BLOCK_STEPS + 1))
+        raw = scale * np.array([[-3.0, 0.7, *far], [-0.6, -0.6, *far]] * (TRACK_BLOCK_STEPS + 1))
         assert abs(-0.6 + 3.0) + abs(-0.6 - 0.7) < 3.7
         tracked, ambiguous = track_branches(raw)
         expected, expected_ambiguous = track_branches_reference(raw)
@@ -862,9 +880,23 @@ class TestBranchTracking:
         assert ambiguous == expected_ambiguous
         assert len(scored) <= 8
 
+    def test_a_screen_bound_that_overflows_is_scored(self):
+        # The screen's 8 top overflows to inf and settles nothing; scoring keeps the
+        # identity, whose cost 0 is far below the swap's inf, and flags no step.
+        row = [-8e307 * (1 + 1j), 8e307 * (1 + 1j)]
+        raw = np.array([row] * 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (tracked, ambiguous), scored = scored_steps(raw)
+            expected, expected_ambiguous = track_branches_reference(raw)
+        assert np.array_equal(tracked, expected) and np.array_equal(tracked, raw)
+        assert ambiguous == expected_ambiguous == []
+        assert scored == [1, 2]
+
+    @pytest.mark.parametrize("start", [0, 1, 2, 3, TRACK_BLOCK_STEPS - 1])
     @pytest.mark.parametrize("walk", ["sweep", "random", "tied", "margin", "subnormal", "non-finite"])
-    def test_walks_across_block_edges_match_per_step_reference(self, walk):
-        n = 2 * TRACK_BLOCK_STEPS + 1
+    def test_walks_across_block_edges_match_per_step_reference(self, walk, start):
+        # Each walk is tracked from row start on, so its rows meet the block edges at other steps.
+        n = 2 * TRACK_BLOCK_STEPS + 1 + start
         spread_crowded = np.array([[0.0, 1.0, 2.0], [0.45, 0.55, 2.0]] * (n // 2) + [[0.0, 1.0, 2.0]], dtype=complex)
         if walk == "subnormal":
             # Costs near 1e-311, below the 1e-300 floor of the flag's scale.
@@ -882,6 +914,7 @@ class TestBranchTracking:
             raw = every_step_tied(n)
         else:
             raw = margin_rows(3, n)
+        raw = raw[start:]
         with np.errstate(invalid="ignore"):
             tracked, ambiguous = track_branches(raw)
             expected, expected_ambiguous = track_branches_reference(raw)
